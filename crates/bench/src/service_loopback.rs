@@ -49,15 +49,17 @@ fn parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
 
 /// `experiments -- serve [--dim N] [--seed S] [--shards K] [--publish P]
 /// [--token T]`: bind a loopback TCP service, announce the address on
-/// stdout, and serve until a client sends `Shutdown`. With `--token` the
+/// stdout, and serve until a client sends `Shutdown`. `--shards` and
+/// `--publish` default to [`ServiceConfig::new`]'s. With `--token` the
 /// server requires that authentication token in every `Hello`. Returns the
 /// process exit code.
 pub fn serve_main(args: &[String]) -> i32 {
     let dim = parsed(args, "--dim", SERVICE_DIM);
     let seed = parsed(args, "--seed", SERVICE_SEED);
-    let shards = parsed(args, "--shards", 2usize);
-    let publish = parsed(args, "--publish", 25_000u64);
-    let mut config = ServiceConfig::new(dim, seed).shards(shards).publish_interval(publish);
+    let defaults = ServiceConfig::new(dim, seed);
+    let shards = parsed(args, "--shards", defaults.shards);
+    let publish = parsed(args, "--publish", defaults.publish_interval);
+    let mut config = defaults.shards(shards).publish_interval(publish);
     if let Some(token) = value_of(args, "--token") {
         config = config.auth_token(token);
     }

@@ -18,7 +18,8 @@
 //!   sequential state bit for bit.
 //! * **How updates reach the workers** — a sans-io [`IngestSession`] built
 //!   by [`EngineBuilder`]: non-blocking [`IngestSession::offer`] /
-//!   [`IngestSession::drain`] polls plus a terminal
+//!   [`IngestSession::drain`] polls, an in-memory
+//!   [`IngestSession::snapshot`] of the live state, and a terminal
 //!   [`IngestSession::seal`], so the dispatcher never blocks on a full
 //!   worker channel and the engine can sit behind a socket loop with no
 //!   runtime dependencies. Blocking convenience wrappers exist for callers
@@ -77,7 +78,9 @@
 //! [`merge_checkpointed`] recombines shard buffers produced by *different OS
 //! processes* under the strategy stamped in their envelopes, and
 //! [`merge_encoded`] remains the bare-`Persist` primitive for buffers
-//! serialized outside the engine.
+//! serialized outside the engine. Bytes are for crossing a process
+//! boundary: to read a live session's merged state in the same process,
+//! [`IngestSession::snapshot`] merges clones of the shards in memory.
 //!
 //! ## When parallel beats batched
 //!
@@ -109,8 +112,9 @@ pub use session::{EngineBuilder, IngestSession};
 ///
 /// A worker panic (a bug in a structure's `ingest_batch`, or a poisoned
 /// update) is contained to its shard: the session keeps running, and
-/// [`IngestSession::seal`] / [`IngestSession::checkpoint`] report the
-/// panicked shard here instead of propagating the panic — so a caller can
+/// [`IngestSession::snapshot`] / [`IngestSession::seal`] /
+/// [`IngestSession::checkpoint`] report the panicked shard here instead of
+/// propagating the panic — so a caller can
 /// fall back to [`IngestSession::checkpoint_surviving`] and persist every
 /// shard that is still healthy.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -16,17 +16,25 @@
 //!                      ▲                └─► Poll::Pending (backpressure)
 //!                      └──── caller retries / drains ◄┘
 //!                      drain() ──► Poll::Ready when all buffers handed off
+//!                      snapshot() ──► Ok(merged copy so far) (blocking, session stays live)
 //!                      seal()  ──► Ok(final merged structure) (blocking, terminal)
 //!                                  Err(WorkerPanicked) if a shard died
 //! ```
+//!
+//! [`IngestSession::snapshot`] is the in-memory read of a live session:
+//! every worker answers a snapshot request, queued behind its batches on
+//! the same channel, with a clone of its shard, and the clones recombine
+//! under the plan's merge. Nothing is encoded and no thread is respawned;
+//! [`IngestSession::checkpoint`] and [`EngineBuilder::resume`] remain the
+//! path for state that must leave the process as bytes.
 //!
 //! ## Worker panic containment
 //!
 //! A panic inside a worker (a structure bug, a poisoned update) is contained
 //! to its shard: the session marks the shard dead and keeps accepting and
 //! routing work for the others instead of propagating the panic into the
-//! dispatcher. The terminal operations surface it as a typed
-//! [`EngineError::WorkerPanicked`], and
+//! dispatcher. [`IngestSession::snapshot`] and the terminal operations
+//! surface it as a typed [`EngineError::WorkerPanicked`], and
 //! [`IngestSession::checkpoint_surviving`] persists every healthy shard's
 //! state so a degraded fleet can still checkpoint what it has.
 //!
@@ -40,7 +48,7 @@
 //! top of the worker channels' own backlog.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::task::Poll;
 use std::thread::JoinHandle;
 
@@ -59,9 +67,29 @@ const WORKER_BACKLOG: usize = 8;
 /// reports backpressure, per shard.
 const OUTBOX_BATCHES_PER_SHARD: usize = 2;
 
+/// What travels down a worker's channel: a dispatch batch to ingest, or a
+/// request for a clone of the shard state as of every batch queued before
+/// it.
+enum Message<T> {
+    Batch(Vec<Update>),
+    Snapshot(SyncSender<T>),
+}
+
 struct Worker<T> {
-    sender: SyncSender<Vec<Update>>,
+    sender: SyncSender<Message<T>>,
     handle: JoinHandle<T>,
+}
+
+impl<T> Worker<T> {
+    /// Non-blocking handoff of a batch; a full channel hands it back.
+    fn try_send(&self, batch: Vec<Update>) -> Result<(), TrySendError<Vec<Update>>> {
+        self.sender.try_send(Message::Batch(batch)).map_err(|e| match e {
+            TrySendError::Full(Message::Batch(b)) => TrySendError::Full(b),
+            TrySendError::Disconnected(Message::Batch(b)) => TrySendError::Disconnected(b),
+            TrySendError::Full(Message::Snapshot(_))
+            | TrySendError::Disconnected(Message::Snapshot(_)) => unreachable!("sent a batch"),
+        })
+    }
 }
 
 /// Configures and spawns an [`IngestSession`] (or resumes one from a
@@ -192,11 +220,14 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
         let workers = states
             .into_iter()
             .map(|mut shard| {
-                let (sender, receiver) =
-                    std::sync::mpsc::sync_channel::<Vec<Update>>(WORKER_BACKLOG);
+                let (sender, receiver) = sync_channel::<Message<T>>(WORKER_BACKLOG);
                 let handle = std::thread::spawn(move || {
-                    while let Ok(batch) = receiver.recv() {
-                        shard.ingest_batch(&batch);
+                    while let Ok(message) = receiver.recv() {
+                        match message {
+                            Message::Batch(batch) => shard.ingest_batch(&batch),
+                            // a requester that gave up is not an error
+                            Message::Snapshot(reply) => drop(reply.send(shard.clone())),
+                        }
                     }
                     shard
                 });
@@ -253,7 +284,7 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
                 remaining.push_back((shard, batch));
                 continue;
             }
-            match self.workers[shard].sender.try_send(batch) {
+            match self.workers[shard].try_send(batch) {
                 Ok(()) => {}
                 Err(TrySendError::Full(batch)) => {
                     stuck[shard] = true;
@@ -280,7 +311,7 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
             self.outbox.push_back((shard, batch));
             return;
         }
-        match self.workers[shard].sender.try_send(batch) {
+        match self.workers[shard].try_send(batch) {
             Ok(()) => {}
             Err(TrySendError::Full(batch)) => self.outbox.push_back((shard, batch)),
             Err(TrySendError::Disconnected(_)) => self.dead[shard] = true,
@@ -376,7 +407,7 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
     /// (panic containment), so this always makes progress.
     fn block_on_capacity(&mut self) {
         if let Some((shard, batch)) = self.outbox.pop_front() {
-            if self.workers[shard].sender.send(batch).is_err() {
+            if self.workers[shard].sender.send(Message::Batch(batch)).is_err() {
                 self.dead[shard] = true;
             }
         }
@@ -391,6 +422,45 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
         while !self.outbox.is_empty() {
             self.block_on_capacity();
         }
+    }
+
+    /// A merged copy of everything accepted so far, taken **without ending
+    /// the session**: flushes every buffered update (blocking on channel
+    /// capacity as needed), queues a snapshot request behind each worker's
+    /// batches, and recombines the cloned shard states under the plan's
+    /// merge — the same result [`IngestSession::seal`] would return at this
+    /// point in the stream, bit for bit for the exact structures. Ingestion
+    /// continues on the same workers afterwards; nothing is encoded or
+    /// decoded and no thread is respawned.
+    ///
+    /// A panicked worker is reported as [`EngineError::WorkerPanicked`]
+    /// (lowest-indexed dead shard), as at `seal`; the session stays usable
+    /// in its degraded state.
+    pub fn snapshot(&mut self) -> Result<T, EngineError> {
+        self.flush_blocking();
+        // request every clone before awaiting any, so the shards copy in
+        // parallel
+        let replies: Vec<_> = self
+            .workers
+            .iter()
+            .map(|w| {
+                let (reply, clone) = sync_channel(1);
+                w.sender.send(Message::Snapshot(reply)).ok().map(|()| clone)
+            })
+            .collect();
+        let mut states = Vec::with_capacity(replies.len());
+        for (shard, clone) in replies.into_iter().enumerate() {
+            // a worker that panics drops its queued request, and with it
+            // the reply sender, so `recv` fails instead of hanging
+            match clone.and_then(|c| c.recv().ok()) {
+                Some(state) => states.push(state),
+                None => self.dead[shard] = true,
+            }
+        }
+        if let Some(shard) = self.dead.iter().position(|&dead| dead) {
+            return Err(EngineError::WorkerPanicked { shard });
+        }
+        Ok(self.plan.merge_states(states))
     }
 
     /// Close the channels and join the workers: surviving shard states with

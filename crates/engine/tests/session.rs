@@ -2,8 +2,8 @@
 //! `offer`/`drain` contract (backpressure surfaces as `Poll::Pending`, never
 //! as a blocked dispatcher), exactness across partial acceptance, per-shard
 //! stream-order preservation, the approximate-tolerance gate for float
-//! structures, and digest-compatibility between the poll-driven and
-//! blocking driving styles.
+//! structures, digest-compatibility between the poll-driven and
+//! blocking driving styles, and the in-memory `snapshot` of a live session.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -76,6 +76,17 @@ impl ShardIngest for GatedSketch {
 
 fn updates(n: usize) -> Vec<Update> {
     (0..n).map(|i| Update::new((i % 64) as u64, i as i64 + 1)).collect()
+}
+
+/// A seeded turnstile stream over `[0, 1024)` with deltas in `-4..=4 \ {0}`.
+fn turnstile(n: usize, seed: u64) -> Vec<Update> {
+    let mut s = SeedSequence::new(seed);
+    (0..n)
+        .map(|_| {
+            let delta = (s.next_below(9) as i64) - 4;
+            Update::new(s.next_below(1 << 10), if delta == 0 { 1 } else { delta })
+        })
+        .collect()
 }
 
 /// The heart of the backpressure satellite fix: with every worker stalled,
@@ -179,13 +190,7 @@ fn drain_flushes_partial_batches() {
 fn poll_driven_session_reproduces_blocking_session_digests() {
     let mut seeds = SeedSequence::new(42);
     let proto = SparseRecovery::new(1 << 10, 8, &mut seeds);
-    let mut s = SeedSequence::new(43);
-    let ups: Vec<Update> = (0..5000)
-        .map(|_| {
-            let delta = (s.next_below(9) as i64) - 4;
-            Update::new(s.next_below(1 << 10), if delta == 0 { 1 } else { delta })
-        })
-        .collect();
+    let ups = turnstile(5000, 43);
 
     let mut sequential = proto.clone();
     sequential.process_batch(&ups);
@@ -211,6 +216,50 @@ fn poll_driven_session_reproduces_blocking_session_digests() {
 
     assert_eq!(blocking.state_digest(), sequential.state_digest());
     assert_eq!(polled.state_digest(), sequential.state_digest());
+}
+
+/// A mid-stream `snapshot` is the merged state of exactly the prefix
+/// accepted so far — partial staging buffers included — under every plan
+/// and shard count, and it leaves the session live: ingestion continues on
+/// the same workers and `seal` still lands on the whole stream's bits.
+#[test]
+fn mid_stream_snapshot_matches_the_sequential_prefix_and_the_session_continues() {
+    fn run<P: ShardPlan + std::fmt::Debug>(
+        mut session: IngestSession<SparseRecovery, P>,
+        ups: &[Update],
+        cut: usize,
+        prefix: u64,
+        whole: u64,
+    ) {
+        let label = format!("{:?}", session);
+        session.ingest_blocking(&ups[..cut]);
+        assert_eq!(session.snapshot().unwrap().state_digest(), prefix, "{label}: prefix");
+        // nothing new accepted: a second snapshot reads the same state
+        assert_eq!(session.snapshot().unwrap().state_digest(), prefix, "{label}: repeat");
+        session.ingest_blocking(&ups[cut..]);
+        assert_eq!(session.accepted(), ups.len() as u64);
+        assert_eq!(session.seal().unwrap().state_digest(), whole, "{label}: whole stream");
+    }
+
+    let mut seeds = SeedSequence::new(44);
+    let proto = SparseRecovery::new(1 << 10, 8, &mut seeds);
+    let ups = turnstile(6000, 45);
+    // not a multiple of the batch size: some updates are still staged
+    let cut = 2345;
+    let digest = |slice: &[Update]| {
+        let mut sequential = proto.clone();
+        sequential.process_batch(slice);
+        sequential.state_digest()
+    };
+    let (prefix, whole) = (digest(&ups[..cut]), digest(&ups));
+
+    for shards in [1, 2, 3] {
+        let session = EngineBuilder::new(&proto).shards(shards).batch_size(128).session();
+        run(session, &ups, cut, prefix, whole);
+    }
+    let session =
+        EngineBuilder::new(&proto).plan(KeyRange::new(1 << 10, 3)).batch_size(128).session();
+    run(session, &ups, cut, prefix, whole);
 }
 
 /// Float structures may only be sharded behind an explicit approximate plan.
@@ -359,6 +408,24 @@ fn checkpoint_reports_the_panicked_shard() {
     let mut session = EngineBuilder::new(&proto).shards(2).batch_size(1).session();
     session.ingest_blocking(&[Update::new(0, 1), Update::new(1, BOMB)]);
     assert_eq!(session.checkpoint(), Err(EngineError::WorkerPanicked { shard: 1 }));
+}
+
+/// `snapshot` reports a dead worker with the same typed error as `seal`,
+/// including a worker that dies on the very batch the snapshot flushed:
+/// its queued snapshot request is dropped with it, so the call returns
+/// instead of waiting on a reply that can never come. The session stays
+/// usable in its degraded state.
+#[test]
+fn snapshot_reports_the_panicked_shard() {
+    let proto = BombSketch::new();
+    let mut session = EngineBuilder::new(&proto).shards(2).batch_size(4).session();
+    // below the batch size: the bomb is still staged for shard 0 until
+    // the snapshot's own flush hands it over
+    session.ingest_blocking(&[Update::new(0, 1), Update::new(1, BOMB)]);
+    assert_eq!(session.snapshot(), Err(EngineError::WorkerPanicked { shard: 0 }));
+    session.ingest_blocking(&updates(100));
+    assert_eq!(session.snapshot(), Err(EngineError::WorkerPanicked { shard: 0 }));
+    assert_eq!(session.seal(), Err(EngineError::WorkerPanicked { shard: 0 }));
 }
 
 /// The degraded path: every surviving shard's state is checkpointed behind

@@ -59,7 +59,7 @@ proptest! {
 }
 
 #[test]
-fn malformed_buffers_rejected() {
+fn malformed_buffers_rejected_for_every_heavy_hitter_driver() {
     let mut seeds = SeedSequence::new(3);
     let mut hh = CountSketchHeavyHitters::new(DIM, 1.0, 0.25, &mut seeds);
     hh.update(7, 100);

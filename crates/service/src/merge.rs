@@ -20,15 +20,15 @@
 //!
 //! ## Publishing without pausing ingestion
 //!
-//! A publish reuses the checkpoint/resume machinery end to end: the live
-//! [`IngestSession`] is checkpointed (serializing each shard behind its
-//! plan envelope), immediately resumed from the same buffers, and the
-//! buffers are tree-merged ([`merge_checkpointed`]) into the snapshot —
-//! then any absorbed shard uploads are merged in. For the exact-arithmetic
-//! catalog structures every one of those merges is bit-exact, so the
-//! published digest equals sequential ingestion of everything the service
-//! has accepted, regardless of how it arrived (streamed batches, shard
-//! uploads, or both).
+//! A publish is an in-memory [`IngestSession::snapshot`]: each worker of
+//! the live session answers a snapshot request, queued behind its batches,
+//! with a clone of its shard; the clones merge under the session's plan,
+//! then absorbed shard uploads merge in. Nothing is serialized and no
+//! worker restarts — the catalog structures are linear sketches, so the
+//! in-memory merge is already bit-exact and the published digest equals
+//! sequential ingestion of everything the service has accepted, however
+//! it arrived (streamed batches, shard uploads, or both). Bytes are only
+//! for crossing a process boundary: uploads and [`merge_checkpointed`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -53,7 +53,7 @@ use crate::ServiceError;
 /// ```
 /// use lps_service::ServiceConfig;
 ///
-/// let config = ServiceConfig::new(1 << 14, 0xC0FE).shards(2).publish_interval(20_000);
+/// let config = ServiceConfig::new(1 << 14, 0xC0FE).publish_interval(20_000);
 /// assert_eq!(config.dimension, 1 << 14);
 /// ```
 #[derive(Debug, Clone)]
@@ -81,14 +81,15 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A service over `[0, dimension)` seeded with `seed`; other knobs at
-    /// their defaults (2 shards, 1024-update dispatch batches, publish
-    /// every 25 000 accepted updates, 64-request queue, 1024 resident
-    /// tenants).
+    /// their defaults (1 shard per structure — the seven structures already
+    /// ingest in parallel, and a second replica only doubles memory and
+    /// threads — 1024-update dispatch batches, publish every 25 000
+    /// accepted updates, 64-request queue, 1024 resident tenants).
     pub fn new(dimension: u64, seed: u64) -> Self {
         ServiceConfig {
             dimension,
             seed,
-            shards: 2,
+            shards: 1,
             batch_size: 1024,
             publish_interval: 25_000,
             queue_depth: 64,
@@ -141,7 +142,7 @@ pub struct MergeService<T: ServeQuery> {
     proto: T,
     shards: usize,
     batch_size: usize,
-    session: Option<IngestSession<T, RoundRobin>>,
+    session: IngestSession<T, RoundRobin>,
     /// Merged state of every *completed* upload set.
     absorbed: Option<T>,
     /// Incomplete upload sets, keyed by their envelope shard count; a slot
@@ -154,32 +155,15 @@ impl<T: ServeQuery> MergeService<T> {
     /// session of `shards` workers.
     pub fn new(proto: T, shards: usize, batch_size: usize) -> Self {
         let session = EngineBuilder::new(&proto).shards(shards).batch_size(batch_size).session();
-        MergeService {
-            proto,
-            shards,
-            batch_size,
-            session: Some(session),
-            absorbed: None,
-            pending: HashMap::new(),
-        }
+        MergeService { proto, shards, batch_size, session, absorbed: None, pending: HashMap::new() }
     }
 
-    /// Route a run of updates into the live session via the sans-io
-    /// `offer`/`drain` polls (spinning on drain under backpressure — the
-    /// caller is the dedicated ingest thread, so blocking here is the
-    /// intended backpressure point).
+    /// Route a run of updates into the live session. Under backpressure
+    /// the ingest thread parks on the oldest queued batch's worker channel:
+    /// blocking here is the intended backpressure point, and parking leaves
+    /// the cores to the workers it waits on.
     pub fn ingest(&mut self, updates: &[Update]) {
-        let session = self.session.as_mut().expect("live session always present");
-        let mut rest = updates;
-        while !rest.is_empty() {
-            match session.offer(rest) {
-                Poll::Ready(n) if n > 0 => rest = &rest[n..],
-                _ => {
-                    let _ = session.drain();
-                    std::thread::yield_now();
-                }
-            }
-        }
+        self.session.ingest_blocking(updates);
     }
 
     /// Accept one shard's enveloped checkpoint buffer. The envelope is
@@ -231,34 +215,27 @@ impl<T: ServeQuery> MergeService<T> {
         Ok(())
     }
 
-    /// Publish the current merged state: checkpoint the live session,
-    /// resume it from the same buffers (ingestion continues right after),
-    /// and return live ⊕ absorbed. Bit-exact for the catalog structures.
+    /// Publish the current merged state: an in-memory
+    /// [`IngestSession::snapshot`] of the live session (which keeps
+    /// ingesting on the same workers) ⊕ the absorbed uploads. Bit-exact for
+    /// the catalog structures.
     ///
-    /// If the checkpoint fails (a worker panicked), the panicked shard's
+    /// If the snapshot fails (a worker panicked), the panicked shard's
     /// state is lost: a **fresh** live session replaces the dead one so
     /// the service keeps serving, and the error propagates to the caller.
     pub fn publish(&mut self) -> Result<T, ServiceError> {
-        let session = self.session.take().expect("live session always present");
-        let buffers = match session.checkpoint() {
-            Ok(buffers) => buffers,
+        let mut snapshot = match self.session.snapshot() {
+            Ok(snapshot) => snapshot,
             Err(e) => {
-                self.session = Some(
-                    EngineBuilder::new(&self.proto)
-                        .shards(self.shards)
-                        .batch_size(self.batch_size)
-                        .session(),
-                );
+                let fresh = EngineBuilder::new(&self.proto)
+                    .shards(self.shards)
+                    .batch_size(self.batch_size)
+                    .session();
+                // join the broken session's workers; its error is `e` again
+                let _ = std::mem::replace(&mut self.session, fresh).seal();
                 return Err(e.into());
             }
         };
-        self.session = Some(
-            EngineBuilder::new(&self.proto)
-                .shards(self.shards)
-                .batch_size(self.batch_size)
-                .resume(&buffers)?,
-        );
-        let mut snapshot: T = merge_checkpointed(&buffers)?;
         if let Some(absorbed) = &self.absorbed {
             snapshot.merge_from(absorbed);
         }
@@ -323,7 +300,7 @@ impl SnapshotHandle {
     }
 }
 
-/// Object-safe wrapper over one structure's [`MergeService`], so the core
+/// Object-safe view of one structure's [`MergeService`], so the core
 /// can hold the whole catalog in a single `Vec`.
 trait Slot: Send {
     fn tag(&self) -> u16;
@@ -336,12 +313,7 @@ trait Slot: Send {
     fn empty_snapshot(&self) -> Arc<dyn SnapshotQuery>;
 }
 
-struct CatalogSlot<T: ServeQuery> {
-    service: MergeService<T>,
-    proto: T,
-}
-
-impl<T: ServeQuery> Slot for CatalogSlot<T> {
+impl<T: ServeQuery> Slot for MergeService<T> {
     fn tag(&self) -> u16 {
         T::TAG
     }
@@ -351,15 +323,15 @@ impl<T: ServeQuery> Slot for CatalogSlot<T> {
     }
 
     fn ingest(&mut self, updates: &[Update]) {
-        self.service.ingest(updates);
+        MergeService::ingest(self, updates);
     }
 
     fn upload(&mut self, buffer: Vec<u8>) -> Result<(), ServiceError> {
-        self.service.upload(buffer)
+        MergeService::upload(self, buffer)
     }
 
     fn publish(&mut self) -> Result<Arc<dyn SnapshotQuery>, ServiceError> {
-        Ok(Arc::new(self.service.publish()?))
+        Ok(Arc::new(MergeService::publish(self)?))
     }
 
     fn empty_snapshot(&self) -> Arc<dyn SnapshotQuery> {
@@ -389,10 +361,7 @@ impl ServiceCore {
         let protos = CatalogPrototypes::standard(config.dimension, config.seed);
         let (shards, batch) = (config.shards, config.batch_size);
         fn slot<T: ServeQuery>(proto: T, shards: usize, batch: usize) -> Box<dyn Slot> {
-            Box::new(CatalogSlot {
-                service: MergeService::new(proto.clone(), shards, batch),
-                proto,
-            })
+            Box::new(MergeService::new(proto, shards, batch))
         }
         let slots: Vec<Box<dyn Slot>> = vec![
             slot(protos.sparse_recovery, shards, batch),

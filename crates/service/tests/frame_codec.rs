@@ -85,6 +85,7 @@ fn encode(frame: &Frame) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    #[test]
     fn any_frame_round_trips_whole(
         kind in 0u8..16,
         tenant in any::<u64>(),
@@ -102,6 +103,7 @@ proptest! {
         prop_assert_eq!(codec.poll().unwrap(), Poll::Pending);
     }
 
+    #[test]
     fn byte_at_a_time_completes_exactly_at_the_last_byte(
         kind in 0u8..16,
         tenant in any::<u64>(),
@@ -127,6 +129,7 @@ proptest! {
         prop_assert_eq!(decoded, Some(frame));
     }
 
+    #[test]
     fn every_proper_prefix_is_pending(
         kind in 0u8..16,
         tenant in any::<u64>(),
@@ -148,6 +151,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn single_bit_corruption_never_panics_and_never_forges(
         kind in 0u8..16,
         tenant in any::<u64>(),
@@ -176,6 +180,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn arbitrary_garbage_never_panics(
         bytes in prop::collection::vec(any::<u8>(), 0..96),
     ) {
@@ -190,6 +195,7 @@ proptest! {
         let _ = codec.feed(&bytes);
     }
 
+    #[test]
     fn random_chunking_preserves_the_frame_sequence(
         kinds in prop::collection::vec(0u8..16, 1..6),
         chunk in 1usize..33,
@@ -234,6 +240,7 @@ proptest! {
         prop_assert_eq!(codec.buffered(), 0);
     }
 
+    #[test]
     fn unsupported_version_is_rejected_at_the_version_bytes(
         version in any::<u16>(),
     ) {
@@ -248,6 +255,7 @@ proptest! {
         );
     }
 
+    #[test]
     fn unknown_tags_are_rejected(
         tag in 8u16..=u16::MAX,
     ) {
@@ -258,6 +266,7 @@ proptest! {
         prop_assert_eq!(codec.feed(&wire).unwrap_err(), ProtoError::UnknownFrameTag { found: tag });
     }
 
+    #[test]
     fn checksum_corruption_is_specifically_typed(
         kind in 0u8..16,
         tenant in any::<u64>(),
@@ -279,6 +288,7 @@ proptest! {
         ));
     }
 
+    #[test]
     fn bad_magic_is_rejected_on_the_first_divergent_byte(
         pos in 0usize..4,
         byte in any::<u8>(),
@@ -294,6 +304,7 @@ proptest! {
         ));
     }
 
+    #[test]
     fn update_batch_count_lies_are_rejected_without_allocation(
         claimed in 1u64..u64::MAX,
     ) {

@@ -45,13 +45,26 @@ fn config() -> ServiceConfig {
     ServiceConfig::new(DIM, SEED).shards(2).batch_size(256).publish_interval(4096)
 }
 
+/// Every shard count a service may run, publishing rarely (`config`) and
+/// every other batch, lands on the sequential bits.
 #[test]
 fn tcp_loopback_matches_sequential_references() {
+    for config in [
+        config(),
+        config().shards(1).publish_interval(1000),
+        config().shards(3).publish_interval(1000),
+    ] {
+        tcp_loopback_round(config);
+    }
+}
+
+fn tcp_loopback_round(config: ServiceConfig) {
+    let shards = config.shards;
     let main = workload(8_000, 1);
     let side = workload(3_000, 2);
     let tenant_stream = workload(1_000, 3);
 
-    let server = RunningServer::bind_tcp("127.0.0.1:0", config()).expect("bind");
+    let server = RunningServer::bind_tcp("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr().expect("tcp server has an address");
     let mut client = ServiceClient::connect_tcp(addr).expect("connect");
 
@@ -152,7 +165,7 @@ fn tcp_loopback_matches_sequential_references() {
         assert_eq!(
             client.digest(tag).expect("digest query"),
             digest,
-            "{name}: service digest diverged from sequential ingestion"
+            "{name}: service digest diverged from sequential ingestion at {shards} shards"
         );
     }
 

@@ -35,6 +35,7 @@ fn drain(gen: &mut dyn UpdateGenerator, n: usize) -> Vec<(u64, i64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[test]
     fn every_generator_is_chunk_boundary_independent(
         choice in 0u8..=255,
         seed in any::<u64>(),
@@ -61,6 +62,7 @@ proptest! {
             "kind {} diverged at some chunk boundary (chunk = {})", spec.kind(), chunk);
     }
 
+    #[test]
     fn every_generator_is_deterministic_in_its_seed(
         choice in 0u8..=255,
         seed in any::<u64>(),
@@ -72,6 +74,7 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    #[test]
     fn every_generator_stays_inside_its_dimension(
         choice in 0u8..=255,
         seed in any::<u64>(),
@@ -86,6 +89,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn strict_turnstile_never_goes_below_zero(
         seed in any::<u64>(),
         dimension in 8u64..2_000,
@@ -103,6 +107,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn turnstile_actually_churns_through_deletion_phases(
         seed in any::<u64>(),
     ) {
