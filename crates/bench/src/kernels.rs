@@ -13,7 +13,8 @@
 //! * `fingerprint_term` — the full per-update fingerprint contribution
 //!   (`signed_field(δ) · r^index`) of sparse recovery / FIS-L0;
 //! * `ams_polybank` — the rows×keys walk: all 128 AMS sign polynomials
-//!   evaluated per key ([`lps_hash::simd::PolyBank`] vs a scalar loop).
+//!   evaluated per key ([`lps_hash::simd::PolyBank`], in the power basis
+//!   on both builds, vs a scalar Horner loop).
 //!
 //! Each kernel is measured in `scalar` mode (the per-key path the update
 //! loops used before the rewiring) and `lanes` mode (the batch kernels the
@@ -197,7 +198,11 @@ pub fn kernel_suite(quick: bool) -> Vec<ThroughputRecord> {
 
 /// Render the E17 records: one row per (kernel, mode) with the lane speedup.
 pub fn kernel_table(records: &[ThroughputRecord]) -> Table {
-    let backend = if cfg!(feature = "simd") { "avx2-multiversioned" } else { "portable-lanes" };
+    let backend = if cfg!(feature = "simd") {
+        "avx2-multiversioned; ams_polybank portable"
+    } else {
+        "portable-lanes"
+    };
     let mut table = Table::new(
         &format!(
             "E17: field-kernel throughput, scalar vs lane-parallel \

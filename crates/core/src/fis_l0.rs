@@ -32,6 +32,15 @@ struct Slot {
     cell: OneSparseCell,
 }
 
+/// The inclusion rule of the slot at `level`, for a coordinate whose
+/// inclusion hash `hash` yields: level 0 takes every coordinate, levels
+/// `1..64` those hashing below `2^64 / 2^level`, higher levels none.
+/// `hash` runs only for levels `1..64`.
+#[inline]
+fn included(level: usize, hash: impl FnOnce() -> u64) -> bool {
+    level == 0 || (level < 64 && hash() < u64::MAX >> level)
+}
+
 /// A log³-style L0 sampler baseline.
 #[derive(Debug, Clone)]
 pub struct FisL0Sampler {
@@ -72,14 +81,8 @@ impl FisL0Sampler {
     }
 
     fn slot_included(&self, level: usize, rep: usize, index: u64) -> bool {
-        if level == 0 {
-            return true;
-        }
-        if level >= 64 {
-            return false;
-        }
         let slot = &self.slots[level * self.repetitions + rep];
-        slot.inclusion.hash(index) < (u64::MAX >> level)
+        included(level, || slot.inclusion.hash(index))
     }
 
     /// Build the shard structure that owns the key range `range` under
@@ -130,20 +133,30 @@ impl LpSampler for FisL0Sampler {
     /// Batched fast path: coalesce the batch, compute each entry's
     /// fingerprint term once (lane-parallel, via
     /// [`lps_sketch::fingerprint_terms`]), then walk the slot table
-    /// level-major so each pass touches one level's contiguous cells.
+    /// level-major. Each hashed slot runs one
+    /// [`TabulationHash::hash_many`] over the batch's indices, which looks
+    /// up only the low index bytes the batch uses (2 of 8 below a dimension
+    /// of `2^16`), and applies the included entries in batch order — each
+    /// cell sees the same updates in the same order as the sequential walk.
     fn process_batch(&mut self, updates: &[Update]) {
         let coalesced = lps_stream::coalesce_updates(updates);
         if coalesced.is_empty() {
             return;
         }
         let terms: Vec<Fp> = fingerprint_terms(&coalesced, &self.pow);
-        for level in 0..self.levels {
-            for rep in 0..self.repetitions {
-                for (&(index, delta), &term) in coalesced.iter().zip(terms.iter()) {
-                    debug_assert!(index < self.dimension);
-                    if self.slot_included(level, rep, index) {
-                        self.slots[level * self.repetitions + rep].cell.apply(index, delta, term);
-                    }
+        let indices: Vec<u64> = coalesced.iter().map(|&(index, _)| index).collect();
+        debug_assert!(indices.iter().all(|&index| index < self.dimension));
+        let mut hashes = vec![0u64; indices.len()];
+        let repetitions = self.repetitions;
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            let level = s / repetitions;
+            // only levels whose rule reads the hash pay for hashing
+            if level > 0 && level < 64 {
+                slot.inclusion.hash_many(&indices, &mut hashes);
+            }
+            for ((&(index, delta), &term), &hash) in coalesced.iter().zip(&terms).zip(&hashes) {
+                if included(level, || hash) {
+                    slot.cell.apply(index, delta, term);
                 }
             }
         }

@@ -13,6 +13,10 @@
 //!    `--features simd` (AVX2 kernels) and a default build (portable lanes)
 //!    are proven bit-identical to each other and to the historical scalar
 //!    path. CI runs this file under both feature configurations.
+//!
+//! A second pinned case runs FIS-L0, AMS and count-sketch over a dimension
+//! above `2^32`, so keys five bytes wide reach the tabulation and
+//! polynomial kernels, not only the two-byte keys of the first case.
 
 use lps_core::{FisL0Sampler, L0Sampler, LpSampler};
 use lps_hash::SeedSequence;
@@ -24,16 +28,19 @@ use lps_stream::Update;
 
 const DIMENSION: u64 = 1 << 12;
 
-/// A deterministic turnstile workload with duplicate indices, deletions,
-/// full cancellations, and boundary coordinates.
-fn workload(len: usize, seed: u64) -> Vec<Update> {
+/// The wide-key case: coordinates up to five bytes wide.
+const WIDE_DIMENSION: u64 = 1 << 40;
+
+/// A deterministic turnstile workload over `[0, dimension)` with duplicate
+/// indices, deletions, full cancellations, and boundary coordinates.
+fn workload(dimension: u64, len: usize, seed: u64) -> Vec<Update> {
     let mut s = SeedSequence::new(seed);
     let mut updates = Vec::with_capacity(len);
     for k in 0..len {
         let index = match k % 7 {
             0 => 0,
-            1 => DIMENSION - 1,
-            _ => s.next_below(DIMENSION),
+            1 => dimension - 1,
+            _ => s.next_below(dimension),
         };
         let delta = (s.next_below(21) as i64) - 10;
         updates.push(Update::new(index, delta));
@@ -105,7 +112,7 @@ const PINNED_DIGESTS: [(&str, u64); 7] = [
 ];
 
 fn computed_digests() -> Vec<(&'static str, u64)> {
-    let updates = workload(400, 0x51AD);
+    let updates = workload(DIMENSION, 400, 0x51AD);
     let mut seeds = SeedSequence::new(0xD1FF);
     let mut out = Vec::new();
 
@@ -203,6 +210,59 @@ fn computed_digests() -> Vec<(&'static str, u64)> {
     out
 }
 
+/// The wide-key digests, computed at the commit before
+/// `TabulationHash::hash_many` and the power-basis `PolyBank` (8-byte
+/// tabulation lookups, Horner banks), under both feature configurations;
+/// the current kernels must reproduce them.
+const PINNED_WIDE_DIGESTS: [(&str, u64); 3] = [
+    ("count_sketch", 0xa62f1ee5d66caf02),
+    ("ams", 0x4e92569df5cae3fc),
+    ("fis_l0", 0x02e2ffae6680981c),
+];
+
+fn computed_wide_digests() -> Vec<(&'static str, u64)> {
+    let updates = workload(WIDE_DIMENSION, 300, 0x71DE);
+    let mut seeds = SeedSequence::new(0xD1FF);
+    let cs = CountSketch::new(WIDE_DIMENSION, 32, 5, &mut seeds);
+    let ams = AmsSketch::new(WIDE_DIMENSION, 8, 16, &mut seeds);
+    let fis = FisL0Sampler::new(WIDE_DIMENSION, &mut seeds);
+    vec![
+        (
+            "count_sketch",
+            check(
+                "count_sketch",
+                &cs,
+                &updates,
+                |s, u| s.update_int(u),
+                |s, c| s.process_batch(c),
+                |s| s.state_digest(),
+            ),
+        ),
+        (
+            "ams",
+            check(
+                "ams",
+                &ams,
+                &updates,
+                |s, u| s.update_int(u),
+                |s, c| s.process_batch(c),
+                |s| s.state_digest(),
+            ),
+        ),
+        (
+            "fis_l0",
+            check(
+                "fis_l0",
+                &fis,
+                &updates,
+                |s, u| s.process_update(u),
+                |s, c| s.process_batch(c),
+                |s| s.state_digest(),
+            ),
+        ),
+    ]
+}
+
 /// Part 1: batched == sequential for every structure and every chunk size
 /// (the per-chunk assertions live inside `check`); part 2: the digests match
 /// the pinned constants, which a `--features simd` build must reproduce.
@@ -216,6 +276,20 @@ fn batched_ingestion_digests_are_bit_identical_and_pinned() {
         PINNED_DIGESTS.as_slice(),
         "state digests diverged from the pinned scalar-path constants; \
          computed: [{}]",
+        formatted.join(", ")
+    );
+}
+
+/// The same two parts for keys wider than two bytes.
+#[test]
+fn wide_key_digests_are_bit_identical_and_pinned() {
+    let computed = computed_wide_digests();
+    let formatted: Vec<String> =
+        computed.iter().map(|(n, d)| format!("(\"{n}\", {d:#018x})")).collect();
+    assert_eq!(
+        computed.as_slice(),
+        PINNED_WIDE_DIGESTS.as_slice(),
+        "wide-key state digests diverged from the pinned constants; computed: [{}]",
         formatted.join(", ")
     );
 }

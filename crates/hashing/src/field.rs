@@ -102,8 +102,8 @@ impl Fp {
     ///
     /// Safe because the unreduced sum is bounded: for canonical operands the
     /// product is at most `(P−1)²` and the addend at most `P−1`, so the
-    /// `u128` accumulator stays below `2^122 + 2^61`, comfortably inside
-    /// `reduce_u128`'s input range (three 61-bit limbs). The result is the
+    /// `u128` accumulator stays below `2^122 + 2^61` (no overflow), and
+    /// `reduce_u128` is exact on every `u128`. The result is the
     /// same canonical residue the unfused sequence produces — canonical
     /// representatives are unique, so the two are bit-identical (pinned by
     /// `mul_add_matches_mul_then_add` below). This is the inner step of
@@ -298,26 +298,26 @@ fn reduce_u64(v: u64) -> u64 {
     r
 }
 
-/// Reduce a `u128` modulo the Mersenne prime. Valid for any input below
-/// `2^123` (three 61-bit limbs plus two conditional subtractions), which
-/// covers both a full product of canonical residues and a fused
-/// product-plus-addend (see [`Fp::mul_add`]). Shared with the lane kernels
-/// in [`crate::simd`].
+/// Reduce a `u128` modulo the Mersenne prime, exact on every `u128`, in
+/// 64-bit arithmetic only (no `u128` compares or subtractions).
+///
+/// Split `v = a + 2^61·b + 2^122·c` with `a, b < 2^61` and `c < 2^6`; since
+/// `2^61 ≡ 1`, `v ≡ a + b + c`, and `s = a + b + c < 2^62 + 2^6` fits a
+/// `u64`. One more fold `r = (s mod 2^61) + ⌊s/2^61⌋ ≤ P + 2`, and one
+/// conditional subtraction reaches `[0, P)`. That covers a full product of
+/// canonical residues, a fused product-plus-addend (see [`Fp::mul_add`])
+/// and the power-basis dot products of [`crate::simd::PolyBank`]. Shared
+/// with the lane kernels in [`crate::simd`].
 #[inline]
 pub(crate) fn reduce_u128(v: u128) -> u64 {
-    // Split into 61-bit limbs: v = a + b*2^61 + c*2^122 with 2^61 == 1 (mod P).
-    let a = (v & (MERSENNE_P as u128)) as u64;
-    let b = ((v >> 61) & (MERSENNE_P as u128)) as u64;
-    let c = (v >> 122) as u64;
-    let mut r = a as u128 + b as u128 + c as u128;
-    // r < 3 * 2^61, two conditional subtractions suffice
-    if r >= MERSENNE_P as u128 {
-        r -= MERSENNE_P as u128;
+    let (lo, hi) = (v as u64, (v >> 64) as u64);
+    let s = (lo & MERSENNE_P) + (((lo >> 61) | (hi << 3)) & MERSENNE_P) + (hi >> 58);
+    let r = (s & MERSENNE_P) + (s >> 61);
+    if r >= MERSENNE_P {
+        r - MERSENNE_P
+    } else {
+        r
     }
-    if r >= MERSENNE_P as u128 {
-        r -= MERSENNE_P as u128;
-    }
-    r as u64
 }
 
 /// Multiply two reduced residues modulo the Mersenne prime.
@@ -361,6 +361,40 @@ mod tests {
         assert_eq!(Fp::new(MERSENNE_P + 1).value(), 1);
         assert_eq!(Fp::new(u64::MAX).value(), u64::MAX % MERSENNE_P);
         assert_eq!(Fp::from_u128(u128::MAX).value(), (u128::MAX % MERSENNE_P as u128) as u64);
+    }
+
+    #[test]
+    fn reduce_u128_matches_plain_remainder_on_edges_and_random_sweep() {
+        let p = MERSENNE_P as u128;
+        let edge = [
+            0,
+            1,
+            p - 1,
+            p,
+            p + 1,
+            2 * p,
+            2 * p + 63,
+            (1 << 64) - 1,
+            1 << 64,
+            (p - 1) * (p - 1) + (p - 1),
+            p * p,
+            (1 << 122) - 1,
+            1 << 122,
+            (p - 1) + 64 * (p - 1) * (p - 1),
+            u128::MAX - 1,
+            u128::MAX,
+        ];
+        for &v in &edge {
+            assert_eq!(reduce_u128(v) as u128, v % p, "v={v:#x}");
+        }
+        let mut s = crate::seeds::SeedSequence::new(0xF01D);
+        for _ in 0..5000 {
+            let v = (s.next_u64() as u128) << 64 | s.next_u64() as u128;
+            assert_eq!(reduce_u128(v) as u128, v % p, "v={v:#x}");
+            // and the narrower inputs the kernels produce
+            let w = v >> (s.next_u64() % 128);
+            assert_eq!(reduce_u128(w) as u128, w % p, "w={w:#x}");
+        }
     }
 
     #[test]

@@ -12,35 +12,41 @@
 //!   [`mul_mod_many`] — which is what [`crate::KWiseHash::hash_keys`] and the
 //!   sketch crates call;
 //! * [`PolyBank`], the transposed rows×keys variant: many polynomials (the
-//!   AMS per-counter sign hashes) evaluated at one key, lanes running across
-//!   *polynomials* instead of keys.
+//!   AMS sign hashes, the CountSketch bucket and sign rows) evaluated at one
+//!   key, lanes running across *polynomials* instead of keys. It evaluates
+//!   in the power basis — the key's powers once per key, then one `u128`
+//!   dot product and one Mersenne fold per polynomial — instead of one
+//!   reduction per Horner step.
 //!
 //! # Backends, and why both are bit-identical
 //!
 //! The default backend is portable: each lane is an independent
-//! `u128`-widening multiply followed by the same three-limb Mersenne
-//! reduction the scalar path uses (`field::reduce_u128`). Eight
+//! `u128`-widening multiply followed by the same Mersenne reduction the
+//! scalar path uses (`field::reduce_u128`, 64-bit operations only). Eight
 //! independent dependency chains break the serial multiply→reduce latency
 //! chain that bounds scalar Horner, so this already speeds up the kernel on
 //! any out-of-order core, and the fixed-trip-count inner loops are written
 //! so LLVM can unroll (and, where profitable, auto-vectorize) them.
 //!
-//! The `simd` cargo feature adds an explicitly multiversioned x86-64 backend:
-//! the same kernels in a 32-bit-limb formulation (no `u128` carries, so the
-//! compiler lowers the lane multiplies to packed `vpmuludq` under AVX2),
-//! compiled inside `#[target_feature(enable = "avx2")]` wrappers and selected
-//! once per slice-level call by runtime CPU detection. The public API is
-//! identical with or without the feature.
+//! The `simd` cargo feature adds an explicitly multiversioned x86-64
+//! backend: the same kernels in a 32-bit-limb formulation (no `u128`
+//! carries, so the compiler lowers the lane multiplies to packed `vpmuludq`
+//! under AVX2), compiled inside `#[target_feature(enable = "avx2")]`
+//! wrappers and selected once per slice-level call by runtime CPU
+//! detection. [`PolyBank`] has no AVX2 variant: its power basis pays one
+//! reduction per polynomial, and an AVX2 Horner bank (one limb reduction
+//! per coefficient, four lanes per packed multiply) did not beat it end to
+//! end. The public API is identical with or without the feature.
 //!
 //! Correctness is differential, not analytical trust: every kernel produces
 //! the **canonical** residue in `[0, P)`, and canonical representatives are
-//! unique — so portable lanes, AVX2 lanes, and the scalar path must agree
-//! bit for bit. The 32-bit-limb derivation (with overflow bounds) is
-//! documented at `mul_add_lane_limb` (private, in this file); the property
-//! tests in this module and
-//! in `tests/properties.rs` pin lane-vs-scalar equality over the full
-//! canonical range including the `P − 1` edge residues and every remainder
-//! tail length.
+//! unique — so portable lanes, AVX2 lanes, the power basis and the scalar
+//! path must agree bit for bit. The 32-bit-limb derivation (with overflow
+//! bounds) is documented at `mul_add_lane_limb` and the power-basis `u128`
+//! accumulation bound at `FOLD_EVERY` (both private, in this file); the
+//! property tests in this module and in `tests/properties.rs` pin
+//! lane-vs-scalar equality over the full canonical range including the
+//! `P − 1` edge residues and every remainder tail length.
 
 use crate::field::{reduce_u128, Fp, PowTable, MERSENNE_P};
 
@@ -275,13 +281,6 @@ mod avx2 {
     pub(super) unsafe fn mul_mod_many(a: &[u64], b: &[u64], out: &mut [u64]) {
         mul_mod_many_with(mul_add_lane_limb, a, b, out);
     }
-
-    /// # Safety
-    /// Caller must have verified AVX2 support (see [`super::avx2_available`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn poly_bank_eval(bank: &PolyBank, key: u64, out: &mut [u64]) {
-        bank.eval_key_with(mul_add_lane_limb, key, out);
-    }
 }
 
 /// Runtime AVX2 detection (cached by `std` behind an atomic load), checked
@@ -338,24 +337,67 @@ pub fn mul_mod_many(a: &[u64], b: &[u64], out: &mut [u64]) {
     mul_mod_many_with(mul_add_lane_u128, a, b, out);
 }
 
+/// Products of canonical residues one `u128` accumulator takes on top of a
+/// canonical residue before [`PolyBank::eval_key`] must fold it.
+///
+/// Bound. A product of canonical residues is at most
+/// `(P−1)² = 2^122 − 2^63 + 4`, so an accumulator holding a residue `≤ P−1`
+/// plus 64 products is at most
+///
+/// ```text
+/// (P−1) + 64·(P−1)² = (2^61 − 2) + 2^128 − 2^69 + 2^8  <  2^128
+/// ```
+///
+/// while 65 products can pass `2^128` (`65·(P−1)² > 2^128`).
+/// `field::reduce_u128` is exact on every `u128`, so one fold per 64
+/// products lands on the canonical residue.
+const FOLD_EVERY: usize = 64;
+
+/// `acc[l] + Σ_t c_t[l]·p_t` over at most [`FOLD_EVERY`] terms, widened to
+/// `u128` and folded once to the canonical residue per lane.
+#[inline(always)]
+fn fold_terms<'a>(acc: &Lanes, terms: impl ExactSizeIterator<Item = (&'a Lanes, u64)>) -> Lanes {
+    debug_assert!(terms.len() <= FOLD_EVERY, "u128 accumulator bound exceeded");
+    let mut wide = acc.map(u128::from);
+    for (c, p) in terms {
+        for l in 0..LANES {
+            wide[l] += c[l] as u128 * p as u128;
+        }
+    }
+    wide.map(reduce_u128)
+}
+
 /// The rows×keys variant, transposed: a bank of same-degree polynomials laid
 /// out coefficient-major so one key can be evaluated against **all** of them
 /// with lanes running across polynomials.
 ///
 /// This is the shape of the AMS table walk — `groups × group_size` 4-wise
-/// sign polynomials all evaluated at each update's coordinate — where the
-/// per-key loop over hash functions, not the per-hash loop over keys, is the
-/// hot axis. Building a bank costs one pass over the coefficient vectors
-/// (`degree × count` copies), amortised over every key in a batch.
+/// sign polynomials all evaluated at each update's coordinate — and of the
+/// CountSketch bucket and sign rows, where the per-key loop over hash
+/// functions, not the per-hash loop over keys, is the hot axis. Building a
+/// bank costs one pass over the coefficient vectors (`degree × count`
+/// copies), amortised over every key in a batch.
+///
+/// A bank evaluates in the power basis, not Horner's: the key's powers
+/// `x^j` are computed once per key and shared by every polynomial, and each
+/// polynomial is then one `u128` dot product `c_0 + Σ_j c_j·x^j` with a
+/// single Mersenne fold (one more per 64 products beyond the first 64, a
+/// degree no caller uses; the `u128` bound is proved at the private
+/// `FOLD_EVERY`). A `k`-coefficient Horner pays `k` reductions per
+/// polynomial; the power basis pays one, plus `k − 1` per key. Canonical
+/// residues are unique, so a bank equals scalar Horner bit for bit, with or
+/// without the `simd` feature.
 #[derive(Debug, Clone)]
 pub struct PolyBank {
     count: usize,
     degree: usize,
-    /// Lane-padded polynomial count (`count` rounded up to [`LANES`]).
-    padded: usize,
-    /// `coeffs[j * padded + h]` = coefficient `j` of polynomial `h`
-    /// (constant term first); the pad lanes hold zero polynomials.
-    coeffs: Vec<u64>,
+    /// Lane groups per coefficient row: `count / LANES` rounded up, at
+    /// least 1.
+    chunks: usize,
+    /// `coeffs[j * chunks + c][l]` = coefficient `j` of polynomial
+    /// `c·LANES + l` (constant term first); the pad lanes hold zero
+    /// polynomials.
+    coeffs: Vec<Lanes>,
 }
 
 impl PolyBank {
@@ -369,15 +411,15 @@ impl PolyBank {
         let polys: Vec<&[Fp]> = polys.into_iter().collect();
         let count = polys.len();
         let degree = polys.first().map_or(0, |p| p.len());
-        let padded = count.div_ceil(LANES).max(1) * LANES;
-        let mut coeffs = vec![0u64; degree * padded];
+        let chunks = count.div_ceil(LANES).max(1);
+        let mut coeffs = vec![[0u64; LANES]; degree * chunks];
         for (h, poly) in polys.iter().enumerate() {
             assert_eq!(poly.len(), degree, "PolyBank polynomials must share a degree");
             for (j, c) in poly.iter().enumerate() {
-                coeffs[j * padded + h] = c.value();
+                coeffs[j * chunks + h / LANES][h % LANES] = c.value();
             }
         }
-        PolyBank { count, degree, padded, coeffs }
+        PolyBank { count, degree, chunks, coeffs }
     }
 
     /// Number of polynomials in the bank.
@@ -390,42 +432,45 @@ impl PolyBank {
         self.degree
     }
 
-    #[inline(always)]
-    fn eval_key_with(
-        &self,
-        mul_add: impl Fn(u64, u64, u64) -> u64 + Copy,
-        key: u64,
-        out: &mut [u64],
-    ) {
-        debug_assert!(key < MERSENNE_P, "PolyBank requires canonical keys");
-        for chunk in 0..self.padded / LANES {
-            let base = chunk * LANES;
-            let mut acc = [0u64; LANES];
-            for j in (0..self.degree).rev() {
-                let row = &self.coeffs[j * self.padded + base..j * self.padded + base + LANES];
-                for l in 0..LANES {
-                    acc[l] = mul_add(acc[l], key, row[l]);
-                }
-            }
-            let take = LANES.min(self.count - base.min(self.count));
-            out[base..base + take].copy_from_slice(&acc[..take]);
-        }
-    }
-
     /// Evaluate every polynomial at `key` (a canonical residue), writing one
     /// canonical hash value per polynomial into `out` (length ≥
     /// [`PolyBank::count`]). Bit-identical to running scalar Horner per
     /// polynomial.
-    #[cfg_attr(feature = "simd", allow(unsafe_code))]
     pub fn eval_key(&self, key: u64, out: &mut [u64]) {
         assert!(out.len() >= self.count, "PolyBank output buffer too small");
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if avx2_available() {
-            // SAFETY: dispatch is guarded by runtime AVX2 detection.
-            unsafe { avx2::poly_bank_eval(self, key, out) };
-            return;
+        debug_assert!(key < MERSENNE_P, "PolyBank requires canonical keys");
+        // x^j for j in [0, degree), shared by every polynomial; on the stack
+        // for the degrees the sketches use
+        let mut stack = [0u64; 16];
+        let mut heap = Vec::new();
+        let powers: &mut [u64] = if self.degree <= stack.len() {
+            &mut stack[..self.degree]
+        } else {
+            heap.resize(self.degree, 0);
+            &mut heap
+        };
+        let mut power = 1;
+        for p in powers.iter_mut() {
+            *p = power;
+            power = crate::field::mul_mod(power, key);
         }
-        self.eval_key_with(mul_add_lane_u128, key, out);
+        for chunk in 0..self.chunks {
+            let row = |j: usize| &self.coeffs[j * self.chunks + chunk];
+            let mut acc = if self.degree == 0 { [0; LANES] } else { *row(0) };
+            let mut first = 1;
+            while first < self.degree {
+                let last = (first + FOLD_EVERY).min(self.degree);
+                acc = fold_terms(&acc, (first..last).map(|j| (row(j), powers[j])));
+                first = last;
+            }
+            // whole lane groups copy at a constant length; only the last
+            // group of a count that LANES does not divide is partial
+            let base = chunk * LANES;
+            match self.count.saturating_sub(base) {
+                take if take >= LANES => out[base..base + LANES].copy_from_slice(&acc),
+                take => out[base..base + take].copy_from_slice(&acc[..take]),
+            }
+        }
     }
 }
 
@@ -554,6 +599,15 @@ mod tests {
         for i in 0..a.len() {
             assert_eq!(out[i], mul_mod(a[i], b[i]), "i={i}");
         }
+    }
+
+    #[test]
+    fn fold_terms_holds_the_largest_sum_at_the_bound() {
+        // every operand at P−1: the accumulator peaks at (P−1) + 64·(P−1)²,
+        // and (P−1)² ≡ 1, so the residue is 64 − 1
+        let row = [P1; LANES];
+        let terms = std::iter::repeat_n((&row, P1), FOLD_EVERY);
+        assert_eq!(fold_terms(&row, terms), [FOLD_EVERY as u64 - 1; LANES]);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! it where speed matters more than provable k-wise independence: workload
 //! generators, the Gopalan–Radhakrishnan baseline, and the level hashes of
 //! the Frahling–Indyk–Sohler-style L0 baseline.
+//!
+//! Stream coordinates are small: below a dimension of `2^16` every key has
+//! six zero high bytes, and a zero byte at position `i` always contributes
+//! the same entry `T_i[0]`. [`TabulationHash::hash_many`] hashes a slice of
+//! keys with that constant folded once per call, so it reads only the low
+//! bytes the widest key in the slice actually uses — bit-identical to
+//! [`TabulationHash::hash`] on every key.
 
 use std::sync::Arc;
 
@@ -75,6 +82,47 @@ impl TabulationHash {
             acc ^= self.tables[i][b as usize];
         }
         acc
+    }
+
+    /// Hash every key in `keys` into `out`, bit-identical to
+    /// [`TabulationHash::hash`] per key.
+    ///
+    /// Byte positions above the widest key (the OR of all keys) are zero in
+    /// every key, so their entries fold into one constant `⊕_i T_i[0]` per
+    /// call and only the low bytes are looked up: 2 table reads per key
+    /// instead of 8 when every key is below `2^16`.
+    pub fn hash_many(&self, keys: &[u64], out: &mut [u64]) {
+        assert_eq!(keys.len(), out.len(), "hash_many output length mismatch");
+        let widest = keys.iter().fold(0u64, |acc, &k| acc | k);
+        let width = (u64::BITS - widest.leading_zeros()).div_ceil(8) as usize;
+        let high = self.tables[width..].iter().fold(0u64, |acc, t| acc ^ t[0]);
+        match width {
+            0 => out.fill(high),
+            1 => self.hash_low::<1>(high, keys, out),
+            2 => self.hash_low::<2>(high, keys, out),
+            3 => self.hash_low::<3>(high, keys, out),
+            4 => self.hash_low::<4>(high, keys, out),
+            5 => self.hash_low::<5>(high, keys, out),
+            6 => self.hash_low::<6>(high, keys, out),
+            7 => self.hash_low::<7>(high, keys, out),
+            _ => self.hash_low::<8>(high, keys, out),
+        }
+    }
+
+    /// The `W`-byte kernel of [`TabulationHash::hash_many`]: `high` XOR the
+    /// entries of each key's `W` low bytes. The constant trip count lets the
+    /// byte loop unroll; one loop over the runtime width in its place cut
+    /// the service's `ingest_churn` throughput by about a sixth (2-vCPU
+    /// x86-64 host).
+    #[inline(always)]
+    fn hash_low<const W: usize>(&self, high: u64, keys: &[u64], out: &mut [u64]) {
+        for (&key, o) in keys.iter().zip(out.iter_mut()) {
+            let mut acc = high;
+            for (i, table) in self.tables[..W].iter().enumerate() {
+                acc ^= table[(key >> (8 * i)) as u8 as usize];
+            }
+            *o = acc;
+        }
     }
 
     /// Map a key to a bucket in `[0, m)`.

@@ -5,7 +5,7 @@ use lps_hash::simd::{
     self, horner_lanes, mul_add_mod_lanes, mul_mod_lanes, pow_lanes, reduce_lanes, Lanes, PolyBank,
     LANES,
 };
-use lps_hash::{Fp, KWiseHash, PowTable, SeedSequence, MERSENNE_P};
+use lps_hash::{Fp, KWiseHash, PowTable, SeedSequence, TabulationHash, MERSENNE_P};
 use proptest::prelude::*;
 
 fn ref_add(a: u64, b: u64) -> u64 {
@@ -187,16 +187,91 @@ proptest! {
     }
 
     #[test]
-    fn poly_bank_matches_scalar_horner_per_polynomial(seed in any::<u64>(), count in 0usize..20, key in 0..MERSENNE_P) {
+    fn poly_bank_matches_scalar_horner_per_polynomial(seed in any::<u64>(), count in 0usize..20, degree in 1usize..=131, key in 0..MERSENNE_P) {
         let mut s = SeedSequence::new(seed);
         let polys: Vec<Vec<Fp>> = (0..count)
-            .map(|_| (0..4).map(|_| Fp::new(s.next_u64())).collect())
+            .map(|_| (0..degree).map(|_| Fp::new(s.next_u64())).collect())
             .collect();
         let bank = PolyBank::new(polys.iter().map(|p| p.as_slice()));
         let mut out = vec![0u64; count];
         bank.eval_key(key, &mut out);
         for (h, poly) in polys.iter().enumerate() {
             prop_assert_eq!(out[h], horner(poly, Fp::from_reduced(key)).value());
+        }
+    }
+
+    #[test]
+    fn tabulation_hash_many_matches_hash_per_key(seed in any::<u64>(), width in 0u32..=8, len in 0usize..24) {
+        let h = TabulationHash::new(&mut SeedSequence::new(seed));
+        let keys = keys_of_width(width, len, seed);
+        let mut out = vec![0u64; keys.len()];
+        h.hash_many(&keys, &mut out);
+        for (&key, &got) in keys.iter().zip(&out) {
+            prop_assert_eq!(got, h.hash(key));
+        }
+    }
+}
+
+/// The power-basis `PolyBank` kernel widens its dot products to `u128` and
+/// folds once per 64 products. All-(P−1) coefficients make every term as
+/// large as its power allows, and at the key P−1 every odd power is P−1 as
+/// well, so half the terms reach (P−1)². Sweep every degree from 1 past two
+/// folds (130 products), at lane counts with and without a partial group.
+#[test]
+fn poly_bank_matches_horner_at_every_degree_past_the_fold_bound() {
+    let p1 = Fp::new(MERSENNE_P - 1);
+    let mut s = SeedSequence::new(0xF01D);
+    for degree in 1..=131 {
+        for count in [1usize, 8, 11] {
+            let polys = vec![vec![p1; degree]; count];
+            let bank = PolyBank::new(polys.iter().map(|p| p.as_slice()));
+            let mut out = vec![0u64; count];
+            for key in [MERSENNE_P - 1, MERSENNE_P - 2, 0, 1, s.next_below(MERSENNE_P)] {
+                bank.eval_key(key, &mut out);
+                let expected = horner(&polys[0], Fp::from_reduced(key)).value();
+                assert!(
+                    out.iter().all(|&v| v == expected),
+                    "degree {degree}, count {count}, key {key}: {out:?} != {expected}"
+                );
+            }
+        }
+    }
+}
+
+/// `len` keys plus one whose top set bit lies in byte `width − 1`, so the
+/// widest key in the slice is exactly `width` bytes (0..=8); the others are
+/// drawn at every narrower width, mixing widths in one slice.
+fn keys_of_width(width: u32, len: usize, seed: u64) -> Vec<u64> {
+    let mut s = SeedSequence::new(seed ^ 0x7AB7);
+    let below =
+        |s: &mut SeedSequence, w: u32| if w == 0 { 0 } else { s.next_u64() >> (64 - 8 * w) };
+    let mut keys: Vec<u64> = (0..len)
+        .map(|_| {
+            let w = s.next_below(width as u64 + 1) as u32;
+            below(&mut s, w)
+        })
+        .collect();
+    let widest = if width == 0 { 0 } else { below(&mut s, width) | 1 << (8 * width - 1) };
+    let at = s.next_below(len as u64 + 1) as usize;
+    keys.insert(at, widest);
+    keys
+}
+
+/// `hash_many` folds the zero high bytes into one constant; every key must
+/// still hash exactly as `hash` does, at every widest-key width and on the
+/// edge slices: empty, all zeros, `u64::MAX` alone and mixed with narrow
+/// keys.
+#[test]
+fn tabulation_hash_many_matches_hash_on_every_width_and_edge_slice() {
+    let h = TabulationHash::new(&mut SeedSequence::new(0x7AB));
+    let mut slices: Vec<Vec<u64>> =
+        vec![vec![], vec![0; 9], vec![u64::MAX], vec![0, 1, 0xFF, 0x1_0000, 1 << 40, u64::MAX, 7]];
+    slices.extend((0..=8).map(|width| keys_of_width(width, 16, width as u64)));
+    for keys in &slices {
+        let mut out = vec![0u64; keys.len()];
+        h.hash_many(keys, &mut out);
+        for (&key, &got) in keys.iter().zip(&out) {
+            assert_eq!(got, h.hash(key), "key {key:#x} in {keys:x?}");
         }
     }
 }

@@ -19,7 +19,7 @@
 
 use lps_core::{FisL0Sampler, L0Sampler, LpSampler, Mergeable};
 use lps_engine::ShardIngest;
-use lps_hash::SeedSequence;
+use lps_hash::{SeedSequence, MERSENNE_P};
 use lps_sketch::persist::tags;
 use lps_sketch::{
     AmsSketch, CountMedianSketch, CountMinSketch, CountSketch, Persist, RecoveryOutput,
@@ -198,7 +198,16 @@ impl CatalogPrototypes {
     /// Build the standard catalog over `[0, dimension)` from one master
     /// seed. Draw order is fixed; two calls with equal arguments produce
     /// bit-identical prototypes in every field.
+    ///
+    /// # Panics
+    /// If `dimension` is 0 or above the Mersenne prime `2^61 − 1`: the hash
+    /// kernels take every coordinate as a canonical field element, so a
+    /// coordinate below `dimension` must be below the prime.
     pub fn standard(dimension: u64, seed: u64) -> Self {
+        assert!(
+            (1..=MERSENNE_P).contains(&dimension),
+            "catalog dimension must lie in [1, 2^61 - 1], got {dimension}"
+        );
         let n = dimension;
         let mut seeds = SeedSequence::new(seed);
         CatalogPrototypes {

@@ -347,6 +347,8 @@ pub struct ServiceCore {
     slots: Vec<Box<dyn Slot>>,
     registry: SketchRegistry<lps_sketch::CountMinSketch, MemorySpill>,
     snapshots: Arc<SnapshotStore>,
+    /// Every structure's coordinate space is `[0, dimension)`.
+    dimension: u64,
     accepted: u64,
     since_publish: u64,
     publish_interval: u64,
@@ -356,7 +358,8 @@ impl ServiceCore {
     /// Build the standard catalog (see [`CatalogPrototypes::standard`])
     /// and the tenant registry from `config`, with every structure's
     /// initial snapshot published (the zero state), so queries are
-    /// answerable before the first update arrives.
+    /// answerable before the first update arrives. Panics on a dimension
+    /// the catalog refuses (0, or above `2^61 − 1`).
     pub fn new(config: &ServiceConfig) -> Self {
         let protos = CatalogPrototypes::standard(config.dimension, config.seed);
         let (shards, batch) = (config.shards, config.batch_size);
@@ -388,6 +391,7 @@ impl ServiceCore {
             slots,
             registry,
             snapshots,
+            dimension: config.dimension,
             accepted: 0,
             since_publish: 0,
             publish_interval: config.publish_interval.max(1),
@@ -411,6 +415,18 @@ impl ServiceCore {
     /// entering this method.
     pub fn apply(&mut self, frame: Frame) -> Result<Frame, ServiceError> {
         match frame {
+            // The structures only debug-assert their domain, and the hash
+            // kernels assume keys below 2^61 − 1 (which `dimension` never
+            // exceeds, see `CatalogPrototypes::standard`): a batch with any
+            // index outside [0, dimension) is refused whole, before any of
+            // it is applied to the catalog or a tenant.
+            Frame::UpdateBatch { updates, .. }
+                if updates.iter().any(|u| u.index >= self.dimension) =>
+            {
+                Err(ServiceError::Proto(crate::ProtoError::Malformed {
+                    context: "update index is outside the service's dimension",
+                }))
+            }
             Frame::UpdateBatch { tenant: 0, updates } => {
                 for slot in &mut self.slots {
                     slot.ingest(&updates);

@@ -184,6 +184,61 @@ fn tcp_loopback_round(config: ServiceConfig) {
     assert_eq!(server.join(), total);
 }
 
+/// A batch holding any index outside `[0, DIM)` is refused whole, on the
+/// catalog (tenant 0) and on the registry (any other tenant): a typed
+/// `Proto` error, no catalog or tenant digest moves, the accepted count
+/// stays put, and the same connection keeps taking valid batches.
+#[test]
+fn out_of_range_batches_are_refused_before_anything_is_applied() {
+    let server = RunningServer::bind_tcp("127.0.0.1:0", config()).expect("bind");
+    let addr = server.local_addr().expect("address");
+    let mut client = ServiceClient::connect_tcp(addr).expect("connect");
+
+    let main = workload(600, 5);
+    client.send_updates(0, &main).expect("in-range catalog batch");
+    let accepted = client.send_updates(7, &main[..100]).expect("in-range tenant batch");
+    let catalog_digests = |client: &mut ServiceClient<TcpStream>| -> Vec<u64> {
+        CATALOG_STRUCTURES.iter().map(|&(_, tag)| client.digest(tag).expect("digest")).collect()
+    };
+    let before = catalog_digests(&mut client);
+    let tenant_before = client.tenant_digest(7).expect("tenant digest");
+    assert!(tenant_before.is_some());
+
+    for (tenant, index) in [(0, u64::MAX), (0, DIM), (7, u64::MAX), (7, DIM), (9, DIM)] {
+        // in-range updates on both sides of the bad one must not land either
+        let batch = [main[0], Update { index, delta: 3 }, main[1]];
+        match client.send_updates(tenant, &batch) {
+            Err(ServiceError::Remote { code: ErrorCode::Proto, detail }) => {
+                assert!(detail.contains("dimension"), "detail names the violation: {detail}");
+            }
+            other => {
+                panic!("tenant {tenant}, index {index}: expected a Proto error, got {other:?}")
+            }
+        }
+    }
+
+    assert_eq!(catalog_digests(&mut client), before, "a refused batch moved a catalog digest");
+    assert_eq!(client.tenant_digest(7).expect("tenant digest"), tenant_before);
+    assert_eq!(client.tenant_digest(9).expect("tenant digest"), None);
+    let edge = [Update { index: DIM - 1, delta: 1 }, Update { index: 0, delta: -1 }];
+    assert_eq!(
+        client.send_updates(0, &edge).expect("valid batch after the refusals"),
+        accepted + edge.len() as u64,
+        "refused batches must not count as accepted"
+    );
+    client.shutdown().expect("shutdown ack");
+    server.join();
+}
+
+/// A catalog over more coordinates than the field has elements would hand
+/// the hash kernels non-canonical keys that still pass the service's
+/// `index < dimension` check, so the catalog refuses to be built.
+#[test]
+#[should_panic(expected = "catalog dimension must lie in [1, 2^61 - 1]")]
+fn catalog_refuses_a_dimension_above_the_field_prime() {
+    CatalogPrototypes::standard(1 << 61, SEED);
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_loopback_smoke() {

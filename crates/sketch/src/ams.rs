@@ -142,10 +142,13 @@ impl LinearSketch for AmsSketch {
     /// This is the rows×keys shape: *many* sign polynomials evaluated at
     /// *one* key per entry. The batch path transposes the coefficient
     /// vectors into a [`lps_hash::simd::PolyBank`] once per batch (a few
-    /// hundred word copies, amortised over every entry) and evaluates all
-    /// sign hashes lane-parallel, then replays the Kahan accumulation in
-    /// the exact counter order of [`AmsSketch::update`] — float state stays
-    /// bit-identical to the sequential walk.
+    /// hundred word copies, amortised over every entry). The bank computes
+    /// the key's powers once and then each 4-wise sign hash as one `u128`
+    /// dot product with one Mersenne fold, where Horner pays 4 reductions
+    /// per hash.
+    /// The Kahan accumulation then replays in the exact counter order of
+    /// [`AmsSketch::update`] — float state stays bit-identical to the
+    /// sequential walk.
     fn process_batch(&mut self, updates: &[lps_stream::Update]) {
         let coalesced = lps_stream::coalesce_updates(updates);
         if coalesced.is_empty() {

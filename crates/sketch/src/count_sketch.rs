@@ -233,44 +233,39 @@ impl LinearSketch for CountSketch {
     /// state-identical to the sequential loop.
     ///
     /// This is the same rows×keys shape as the AMS sign walk: *many* degree-1
-    /// polynomials evaluated at *one* key per entry. Both hash families are
-    /// transposed into [`lps_hash::simd::PolyBank`]s once per batch and
-    /// evaluated lane-parallel across rows per key; the Kahan accumulation
-    /// below then replays row-major in exactly the original entry order, so
-    /// the float state is bit-identical to the scalar walk (the multiply-shift
-    /// bucket reduction is the one from [`lps_hash::KWiseHash::bucket`]).
+    /// polynomials evaluated at *one* key per entry. The bucket and sign
+    /// hashes of every row go into one [`lps_hash::simd::PolyBank`] per
+    /// batch, so each key is one bank evaluation over all `2 × rows`
+    /// polynomials (one `u128` dot product and one Mersenne fold each,
+    /// where Horner pays two reductions). The Kahan
+    /// accumulation below then replays row-major in exactly the original
+    /// entry order, so the float state is bit-identical to the scalar walk
+    /// (the multiply-shift bucket reduction is the one from
+    /// [`lps_hash::KWiseHash::bucket`]).
     fn process_batch(&mut self, updates: &[lps_stream::Update]) {
         let coalesced = lps_stream::coalesce_updates(updates);
         if coalesced.is_empty() {
             return;
         }
         let rows = self.rows;
-        let bucket_bank = lps_hash::simd::PolyBank::new(
-            self.bucket_hashes.iter().map(|h| h.kwise().coefficients()),
+        let bank = lps_hash::simd::PolyBank::new(
+            self.bucket_hashes.iter().chain(&self.sign_hashes).map(|h| h.kwise().coefficients()),
         );
-        let sign_bank = lps_hash::simd::PolyBank::new(
-            self.sign_hashes.iter().map(|h| h.kwise().coefficients()),
-        );
-        // Entry-major hash matrices: entry `e`'s row-`j` values live at
-        // `e * rows + j`. Batches are chunked upstream (DEFAULT_BATCH_SIZE /
-        // the engine dispatch batch), so the scratch stays batch-bounded.
-        let mut buckets = vec![0usize; coalesced.len() * rows];
-        let mut signs = vec![0u64; coalesced.len() * rows];
-        let mut hash_scratch = vec![0u64; rows];
-        for (e, &(index, _)) in coalesced.iter().enumerate() {
+        // Entry-major hash matrix: entry `e`'s row-`j` bucket hash lives at
+        // `e * 2 * rows + j` and its sign hash `rows` further on. Batches are
+        // chunked upstream (DEFAULT_BATCH_SIZE / the engine dispatch batch),
+        // so the scratch stays batch-bounded.
+        let mut hashes = vec![0u64; coalesced.len() * 2 * rows];
+        for (&(index, _), entry) in coalesced.iter().zip(hashes.chunks_exact_mut(2 * rows)) {
             debug_assert!(index < self.dimension, "index out of range");
-            bucket_bank.eval_key(index, &mut hash_scratch);
-            for (j, &h) in hash_scratch.iter().enumerate() {
-                buckets[e * rows + j] = ((h as u128 * self.width as u128) >> 61) as usize;
-            }
-            sign_bank.eval_key(index, &mut signs[e * rows..(e + 1) * rows]);
+            bank.eval_key(index, entry);
         }
         for j in 0..rows {
             let row = &mut self.table[j * self.width..(j + 1) * self.width];
             let comp_row = &mut self.comp[j * self.width..(j + 1) * self.width];
-            for (e, &(_, delta)) in coalesced.iter().enumerate() {
-                let k = buckets[e * rows + j];
-                let sign = if signs[e * rows + j] & 1 == 1 { 1.0 } else { -1.0 };
+            for (&(_, delta), entry) in coalesced.iter().zip(hashes.chunks_exact(2 * rows)) {
+                let k = ((entry[j] as u128 * self.width as u128) >> 61) as usize;
+                let sign = if entry[rows + j] & 1 == 1 { 1.0 } else { -1.0 };
                 kahan_add(&mut row[k], &mut comp_row[k], sign * delta as f64);
             }
         }
