@@ -23,6 +23,8 @@
 //! datapoint. `--check <path>` re-reads a committed
 //! baseline document, compares the gated headline speedups, and exits
 //! non-zero on a regression beyond the tolerance — this is the CI perf gate.
+//! An unknown experiment id or flag exits with code 2 and names it, so a
+//! mistyped id fails instead of running nothing.
 //!
 //! The `checkpoint` subcommand exercises the cross-process persistence
 //! pipeline: without `--merge` it ingests a deterministic workload through
@@ -54,6 +56,21 @@
 //! `lps_bench::workload_cli`).
 
 use lps_bench::*;
+
+/// The ids the experiment runner accepts: `all`, the perf suites (`bench`),
+/// the paper's tables E1–E11 (E4 prints with E1), and the registry suite.
+const EXPERIMENT_IDS: &[&str] =
+    &["all", "bench", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e15"];
+
+/// Reject the command line: name the bad argument and exit with code 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!(
+        "experiments: {problem} (ids: {}; flags: --full, --json, --check <path>; \
+         subcommands: checkpoint, crashtest, serve, feed, servetest, workload)",
+        EXPERIMENT_IDS.join(", ")
+    );
+    std::process::exit(2);
+}
 
 /// Run the `checkpoint` subcommand; returns the process exit code.
 fn run_checkpoint(args: &[String]) -> i32 {
@@ -147,23 +164,24 @@ fn main() {
     if args.first().map(String::as_str) == Some("workload") {
         std::process::exit(workload_main(&args[1..]));
     }
-    let full = args.iter().any(|a| a == "--full");
-    let json = args.iter().any(|a| a == "--json");
-    let check_baseline: Option<String> = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).cloned().expect("--check requires a baseline path"));
+    let (mut full, mut json) = (false, false);
+    let mut check_baseline: Option<String> = None;
+    let mut selected: Vec<String> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--full" => full = true,
+            "--json" => json = true,
+            "--check" => match rest.next() {
+                Some(path) => check_baseline = Some(path.clone()),
+                None => usage_error("--check needs a baseline path"),
+            },
+            id if EXPERIMENT_IDS.contains(&id) => selected.push(arg.clone()),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
+            id => usage_error(&format!("unknown experiment id `{id}`")),
+        }
+    }
     let quick = !full;
-    let selected: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            // skip flags and the value consumed by --check
-            let consumed_by_check = *i > 0 && args[i - 1] == "--check";
-            !(a.starts_with("--") || consumed_by_check)
-        })
-        .map(|(_, a)| a.clone())
-        .collect();
     let run_everything = selected.is_empty() || selected.iter().any(|s| s == "all");
 
     let wants = |id: &str| run_everything || selected.iter().any(|s| s == id);
@@ -191,9 +209,6 @@ fn main() {
         let kernels = kernel_suite(quick);
         println!("{}", kernel_table(&kernels).render());
         records.extend(kernels);
-        let service = service_suite(quick);
-        println!("{}", service_table(&service).render());
-        records.extend(service);
         let registry = registry_suite(quick);
         println!("{}", registry_table(&registry).render());
         if json {

@@ -44,9 +44,7 @@ pub use e_registry::{
 pub use e_samplers::{e1_sampler_accuracy, e2_sampler_space, e3_l0_sampler};
 pub use kernels::{kernel_suite, kernel_table};
 pub use report::Table;
-pub use service_loopback::{
-    feed_main, serve_main, servetest_main, service_suite, service_table, SERVICE_DIM, SERVICE_SEED,
-};
+pub use service_loopback::{feed_main, serve_main, servetest_main, SERVICE_DIM, SERVICE_SEED};
 pub use throughput::{
     check_headline_regression, chosen_plans, engine_scaling_suite, engine_scaling_table,
     headline_ratios, parse_headline, parse_mode, parse_runner_class, seed_baseline_advice,

@@ -1,5 +1,5 @@
 //! The two-process service loopback harness (`experiments -- serve`,
-//! `-- feed`, `-- servetest`) and the in-process E16 throughput suite.
+//! `-- feed`, `-- servetest`).
 //!
 //! `servetest` is the CI shape: the parent re-spawns this binary as a
 //! `serve` child (the `crashtest` self-respawn pattern), reads the bound
@@ -315,102 +315,4 @@ fn run_feed(
         report.push_str(&format!("feed: clean shutdown after {accepted} accepted updates\n"));
     }
     Ok(report)
-}
-
-/// E16: in-process loopback throughput — the same updates through a real
-/// TCP socket + framing + ingest pipeline vs. directly into an engine
-/// session, so the JSON artifact tracks what the service layer costs.
-pub fn service_suite(quick: bool) -> Vec<crate::ThroughputRecord> {
-    use std::time::Instant;
-
-    let n = SERVICE_DIM;
-    let count: usize = if quick { 60_000 } else { 300_000 };
-    let batch = workload(n, count, 0xE16_BEEF);
-    let mut out = Vec::new();
-
-    // through the socket
-    let config = ServiceConfig::new(n, SERVICE_SEED).shards(2).publish_interval(u64::MAX);
-    let server = RunningServer::bind_tcp(("127.0.0.1", 0), config).expect("bind");
-    let addr = server.local_addr().expect("address");
-    let mut client = ServiceClient::connect_tcp(addr).expect("connect");
-    let start = Instant::now();
-    for chunk in batch.chunks(BATCH) {
-        client.send_updates(0, chunk).expect("batch accepted");
-    }
-    let elapsed_ns = start.elapsed().as_nanos().max(1);
-    client.shutdown().expect("shutdown");
-    server.join();
-    out.push(crate::ThroughputRecord {
-        structure: "service_loopback",
-        mode: "socket",
-        dimension: n,
-        updates: batch.len() as u64,
-        elapsed_ns,
-        updates_per_sec: batch.len() as f64 / (elapsed_ns as f64 / 1e9),
-    });
-
-    // the same load straight into one engine session (count-min), as the
-    // no-protocol baseline
-    let proto = CatalogPrototypes::standard(n, SERVICE_SEED).count_min;
-    let mut session = EngineBuilder::new(&proto).shards(2).session();
-    let start = Instant::now();
-    for chunk in batch.chunks(BATCH) {
-        session.ingest_blocking(chunk);
-    }
-    let sealed = session.seal().expect("seal");
-    let elapsed_ns = start.elapsed().as_nanos().max(1);
-    std::hint::black_box(sealed.state_digest());
-    out.push(crate::ThroughputRecord {
-        structure: "service_loopback",
-        mode: "engine_direct",
-        dimension: n,
-        updates: batch.len() as u64,
-        elapsed_ns,
-        updates_per_sec: batch.len() as f64 / (elapsed_ns as f64 / 1e9),
-    });
-    out
-}
-
-/// Render the E16 records.
-pub fn service_table(records: &[crate::ThroughputRecord]) -> crate::Table {
-    let mut table = crate::Table::new(
-        "E16: streaming service loopback (updates/sec; engine_direct = no-protocol baseline)",
-        &["structure", "mode", "log2(n)", "updates", "updates_per_sec"],
-    );
-    for r in records {
-        table.row(&[
-            r.structure.to_string(),
-            r.mode.to_string(),
-            crate::report::int((r.dimension as f64).log2() as u64),
-            crate::report::int(r.updates),
-            crate::report::f1(r.updates_per_sec),
-        ]);
-    }
-    table
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The in-process E16 path end to end, at a size CI can afford.
-    #[test]
-    fn service_suite_produces_both_modes() {
-        let records = {
-            // shrink below even quick mode for the unit test
-            let n = 1 << 10;
-            let batch = workload(n, 4_000, 0xE16);
-            let config = ServiceConfig::new(n, SERVICE_SEED).publish_interval(u64::MAX);
-            let server = RunningServer::bind_tcp(("127.0.0.1", 0), config).expect("bind");
-            let mut client =
-                ServiceClient::connect_tcp(server.local_addr().unwrap()).expect("connect");
-            for chunk in batch.chunks(500) {
-                client.send_updates(0, chunk).expect("accepted");
-            }
-            let accepted = client.shutdown().expect("shutdown");
-            assert_eq!(accepted, batch.len() as u64);
-            server.join()
-        };
-        assert_eq!(records, 4_000);
-    }
 }

@@ -1,7 +1,7 @@
 //! # lps-engine
 //!
 //! A multi-threaded sharded ingestion engine built on sketch mergeability,
-//! with pluggable shard partitioning and a sans-io ingest surface.
+//! with pluggable shard partitioning.
 //!
 //! Every structure in this workspace maintains `L(x)` for a linear map `L`,
 //! so `sketch(A ++ B) == merge(sketch(A), sketch(B))` whenever both sides
@@ -16,14 +16,13 @@
 //!   recombines by disjoint union ([`ShardIngest::merge_disjoint`]). For
 //!   the exact-arithmetic structures **both** strategies reproduce the
 //!   sequential state bit for bit.
-//! * **How updates reach the workers** — a sans-io [`IngestSession`] built
-//!   by [`EngineBuilder`]: non-blocking [`IngestSession::offer`] /
-//!   [`IngestSession::drain`] polls, an in-memory
-//!   [`IngestSession::snapshot`] of the live state, and a terminal
-//!   [`IngestSession::seal`], so the dispatcher never blocks on a full
-//!   worker channel and the engine can sit behind a socket loop with no
-//!   runtime dependencies. Blocking convenience wrappers exist for callers
-//!   without an event loop.
+//! * **How updates reach the workers** — an [`IngestSession`] built by
+//!   [`EngineBuilder`]: [`IngestSession::ingest_blocking`] stages updates
+//!   and hands each full batch to its worker's bounded channel, parking
+//!   while that channel is full; an in-memory [`IngestSession::snapshot`]
+//!   reads the live state, and a terminal [`IngestSession::seal`] returns
+//!   the merged structure. Linearity means each shard only needs its own
+//!   batches in order, so that one blocking path is all delivery takes.
 //!
 //! ```
 //! use lps_engine::{EngineBuilder, KeyRange, RoundRobin};
@@ -76,11 +75,10 @@
 //! key-range checkpoint offered to a round-robin resume is rejected with
 //! [`DecodeError::PlanMismatch`] before any counter is decoded.
 //! [`merge_checkpointed`] recombines shard buffers produced by *different OS
-//! processes* under the strategy stamped in their envelopes, and
-//! [`merge_encoded`] remains the bare-`Persist` primitive for buffers
-//! serialized outside the engine. Bytes are for crossing a process
-//! boundary: to read a live session's merged state in the same process,
-//! [`IngestSession::snapshot`] merges clones of the shards in memory.
+//! processes* under the strategy stamped in their envelopes. Bytes are for
+//! crossing a process boundary: to read a live session's merged state in
+//! the same process, [`IngestSession::snapshot`] merges clones of the
+//! shards in memory.
 //!
 //! ## When parallel beats batched
 //!
@@ -262,18 +260,6 @@ pub(crate) fn decode_compatible_shards<T: Persist, B: AsRef<[u8]>>(
         }
     }
     encoded.iter().map(|bytes| T::decode_state(bytes.as_ref())).collect()
-}
-
-/// Merge bare `Persist` shard buffers (no plan envelope — e.g. states
-/// serialized directly with [`Persist::encode_to_vec`]) into the structure
-/// sketching the concatenation of every shard's stream, using the additive
-/// deterministic tree merge.
-///
-/// Validates version/tag/seed compatibility across all buffers (see
-/// [`DecodeError::SeedMismatch`]). For engine checkpoints — which carry a
-/// plan envelope — use [`merge_checkpointed`] instead.
-pub fn merge_encoded<T: Persist + Mergeable>(encoded: &[Vec<u8>]) -> Result<T, DecodeError> {
-    Ok(tree_merge_with(decode_compatible_shards::<T, _>(encoded)?, Mergeable::merge_from))
 }
 
 /// Merge plan-aware checkpoint buffers produced in this or **any other OS

@@ -120,7 +120,7 @@ impl PlanStrategy {
 /// prototype, which shard each update is routed to, and how the shard states
 /// recombine into the sketch of the full stream.
 ///
-/// Plans are cheap plain values (no threads, no channels); the sans-io
+/// Plans are cheap plain values (no threads, no channels); the
 /// [`IngestSession`](crate::IngestSession) consults one for every routing
 /// and merge decision, and stamps it into checkpoints.
 pub trait ShardPlan: Clone + Send + 'static {

@@ -1,21 +1,10 @@
-//! The sans-io ingestion front-end: [`EngineBuilder`] → [`IngestSession`].
-//!
-//! A session owns the worker threads but exposes a **non-blocking,
-//! poll-driven** surface: [`IngestSession::offer`] accepts as many updates
-//! as current capacity allows and returns [`Poll::Pending`] instead of ever
-//! blocking the caller on a full worker channel. That makes the engine
-//! embeddable behind a socket loop, an async executor, or any other
-//! event-driven driver without new runtime dependencies — the caller decides
-//! what "wait" means.
+//! The ingestion front-end: [`EngineBuilder`] → [`IngestSession`].
 //!
 //! ## Lifecycle
 //!
 //! ```text
 //! EngineBuilder::new(&proto).plan(...).batch_size(...)
-//!     └─ session() ──► offer(&updates) ─┬─► Poll::Ready(accepted)
-//!                      ▲                └─► Poll::Pending (backpressure)
-//!                      └──── caller retries / drains ◄┘
-//!                      drain() ──► Poll::Ready when all buffers handed off
+//!     └─ session() ──► ingest_blocking(&updates) (parks while a worker's channel is full)
 //!                      snapshot() ──► Ok(merged copy so far) (blocking, session stays live)
 //!                      seal()  ──► Ok(final merged structure) (blocking, terminal)
 //!                                  Err(WorkerPanicked) if a shard died
@@ -40,32 +29,31 @@
 //!
 //! Internally the session stages routed updates per shard (one copy, into
 //! the staging buffer), seals a staging buffer into a dispatch batch when it
-//! reaches the batch size, and hands sealed batches to worker channels with
-//! `try_send` — the batch `Vec` is **moved** on handoff, never cloned, and a
-//! batch that finds its channel full simply waits in the bounded outbox
-//! until a later poll. Peak buffered memory is bounded by
-//! `shards × batch_size` staged updates plus `2 × shards` outbox batches on
-//! top of the worker channels' own backlog.
+//! reaches the batch size, and moves the batch — never clones it — into its
+//! worker's bounded channel with a blocking `send`. Every structure the
+//! engine shards is linear, so that is all delivery has to guarantee: each
+//! shard ingests its own batches in stream order, and the shards merge to
+//! the sequential state however their batches interleave. A full channel is
+//! the one backpressure point: the caller parks until that worker frees a
+//! slot. Peak buffered memory is bounded by `shards × (WORKER_BACKLOG + 2) ×
+//! batch_size` updates: one staging buffer, the channel's backlog, and the
+//! batch each worker is ingesting.
 
-use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::task::Poll;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread::JoinHandle;
 
 use lps_sketch::{DecodeError, Persist};
-use lps_stream::{Update, UpdateStream, DEFAULT_BATCH_SIZE};
+use lps_stream::{Update, DEFAULT_BATCH_SIZE};
 
 use crate::plan::{encode_envelope_header, validate_envelopes, RoundRobin, ShardPlan, Tolerance};
 use crate::{decode_compatible_shards, EngineError, ShardIngest};
 
-/// How many dispatch batches may sit unprocessed in each worker's channel.
-/// Together with the outbox cap this bounds peak buffered memory at roughly
-/// `shards × (WORKER_BACKLOG + 2) × batch_size` updates.
-const WORKER_BACKLOG: usize = 8;
-
-/// Sealed batches the outbox may hold before [`IngestSession::offer`]
-/// reports backpressure, per shard.
-const OUTBOX_BATCHES_PER_SHARD: usize = 2;
+/// How many sealed batches may wait unprocessed in each worker's channel
+/// before the dispatcher parks. Ten keeps the per-shard in-flight bound of
+/// the earlier dispatcher, whose channels held 8 batches and whose outbox
+/// held 2 more per shard, so peak buffered memory and the point where the
+/// caller blocks are unchanged.
+const WORKER_BACKLOG: usize = 10;
 
 /// What travels down a worker's channel: a dispatch batch to ingest, or a
 /// request for a clone of the shard state as of every batch queued before
@@ -78,18 +66,6 @@ enum Message<T> {
 struct Worker<T> {
     sender: SyncSender<Message<T>>,
     handle: JoinHandle<T>,
-}
-
-impl<T> Worker<T> {
-    /// Non-blocking handoff of a batch; a full channel hands it back.
-    fn try_send(&self, batch: Vec<Update>) -> Result<(), TrySendError<Vec<Update>>> {
-        self.sender.try_send(Message::Batch(batch)).map_err(|e| match e {
-            TrySendError::Full(Message::Batch(b)) => TrySendError::Full(b),
-            TrySendError::Disconnected(Message::Batch(b)) => TrySendError::Disconnected(b),
-            TrySendError::Full(Message::Snapshot(_))
-            | TrySendError::Disconnected(Message::Snapshot(_)) => unreachable!("sent a batch"),
-        })
-    }
 }
 
 /// Configures and spawns an [`IngestSession`] (or resumes one from a
@@ -185,17 +161,15 @@ impl<T: ShardIngest + 'static, P: ShardPlan> EngineBuilder<T, P> {
     }
 }
 
-/// A live sharded ingestion pipeline with a sans-io surface: non-blocking
-/// [`IngestSession::offer`] / [`IngestSession::drain`], terminal
-/// [`IngestSession::seal`]. Built by [`EngineBuilder`].
+/// A live sharded ingestion pipeline: [`IngestSession::ingest_blocking`]
+/// takes updates, [`IngestSession::snapshot`] reads the merged state so
+/// far, and [`IngestSession::seal`] / [`IngestSession::checkpoint`] end it.
+/// Built by [`EngineBuilder`].
 pub struct IngestSession<T: ShardIngest + 'static, P: ShardPlan> {
     plan: P,
     workers: Vec<Worker<T>>,
     /// Per-shard staging buffer (< `batch_size` routed updates each).
     staging: Vec<Vec<Update>>,
-    /// Sealed batches awaiting channel capacity, global FIFO (per-shard
-    /// order is preserved; batches for different shards may overtake).
-    outbox: VecDeque<(usize, Vec<Update>)>,
     /// Shards whose worker was observed dead (disconnected channel) before
     /// join time. Batches routed to a dead shard are dropped — the state
     /// they would have updated is already lost to the panic.
@@ -238,7 +212,6 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
             plan,
             workers,
             staging: (0..shards).map(|_| Vec::with_capacity(batch_size)).collect(),
-            outbox: VecDeque::new(),
             dead: vec![false; shards],
             batch_size,
             accepted: 0,
@@ -260,65 +233,12 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
         self.accepted
     }
 
-    /// Updates currently buffered inside the session (staged or in the
-    /// outbox) — i.e. accepted but not yet handed to a worker channel.
-    pub fn buffered(&self) -> usize {
-        self.staging.iter().map(Vec::len).sum::<usize>()
-            + self.outbox.iter().map(|(_, b)| b.len()).sum::<usize>()
-    }
-
-    fn outbox_cap(&self) -> usize {
-        self.workers.len() * OUTBOX_BATCHES_PER_SHARD
-    }
-
-    /// Try to move queued batches from the outbox into worker channels.
-    /// Never blocks; preserves per-shard FIFO order.
-    fn pump(&mut self) {
-        if self.outbox.is_empty() {
-            return;
-        }
-        let mut stuck = vec![false; self.workers.len()];
-        let mut remaining = VecDeque::with_capacity(self.outbox.len());
-        while let Some((shard, batch)) = self.outbox.pop_front() {
-            if stuck[shard] {
-                remaining.push_back((shard, batch));
-                continue;
-            }
-            match self.workers[shard].try_send(batch) {
-                Ok(()) => {}
-                Err(TrySendError::Full(batch)) => {
-                    stuck[shard] = true;
-                    remaining.push_back((shard, batch));
-                }
-                // worker panicked: contain it — mark the shard dead and
-                // drop the batch (its state is already lost to the panic)
-                Err(TrySendError::Disconnected(_)) => self.dead[shard] = true,
-            }
-        }
-        self.outbox = remaining;
-    }
-
-    /// Hand a sealed batch to its worker, or queue it. The batch `Vec` is
-    /// moved, never cloned — a full channel costs nothing but queue position.
-    fn dispatch(&mut self, shard: usize, batch: Vec<Update>) {
-        debug_assert!(!batch.is_empty());
-        if self.dead[shard] {
-            return;
-        }
-        // per-shard FIFO: an earlier batch for this shard queued in the
-        // outbox must reach the worker first
-        if self.outbox.iter().any(|(s, _)| *s == shard) {
-            self.outbox.push_back((shard, batch));
-            return;
-        }
-        match self.workers[shard].try_send(batch) {
-            Ok(()) => {}
-            Err(TrySendError::Full(batch)) => self.outbox.push_back((shard, batch)),
-            Err(TrySendError::Disconnected(_)) => self.dead[shard] = true,
-        }
-    }
-
-    /// Seal shard `shard`'s staging buffer into a dispatch batch.
+    /// Seal shard `shard`'s staging buffer into a dispatch batch and hand it
+    /// to the worker with a blocking `send`: the batch `Vec` is moved, never
+    /// cloned, and a full channel parks the caller until the worker frees a
+    /// slot. A send to a panicked worker fails at once, so the shard is
+    /// marked dead and the batch dropped (its state is already lost to the
+    /// panic).
     fn seal_shard(&mut self, shard: usize) {
         if self.staging[shard].is_empty() {
             return;
@@ -326,101 +246,33 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
         self.plan.batch_sealed(shard);
         let batch =
             std::mem::replace(&mut self.staging[shard], Vec::with_capacity(self.batch_size));
-        self.dispatch(shard, batch);
+        if !self.dead[shard] && self.workers[shard].sender.send(Message::Batch(batch)).is_err() {
+            self.dead[shard] = true;
+        }
     }
 
-    /// Offer updates to the engine **without blocking**.
-    ///
-    /// Returns `Poll::Ready(accepted)` with how many updates from the front
-    /// of `updates` were accepted (the caller re-offers the rest later), or
-    /// `Poll::Pending` when backpressure from the workers prevents accepting
-    /// any right now — retry after the workers make progress (or call
-    /// [`IngestSession::drain`] from your event loop). `offer(&[])` is a
-    /// pure progress poll: it flushes queued batches opportunistically and
-    /// returns `Poll::Ready(0)`.
-    ///
-    /// Accepted updates are copied exactly once (into the staging buffer);
-    /// sealed batches are moved to the workers, never cloned.
-    pub fn offer(&mut self, updates: &[Update]) -> Poll<usize> {
-        self.pump();
-        let mut taken = 0;
+    /// Ingest `updates`: route each to its shard's staging buffer, and hand
+    /// each buffer that reaches the batch size to its worker. Blocks while
+    /// that worker's channel is full — the session's one backpressure point,
+    /// which parks the caller and leaves the cores to the workers it waits
+    /// on. Updates are copied once, into the staging buffer.
+    pub fn ingest_blocking(&mut self, updates: &[Update]) {
         for u in updates {
-            if self.outbox.len() >= self.outbox_cap() {
-                self.pump();
-                if self.outbox.len() >= self.outbox_cap() {
-                    break;
-                }
-            }
             let shard = self.plan.route(u);
             debug_assert!(shard < self.staging.len(), "plan routed to nonexistent shard");
             self.staging[shard].push(*u);
-            taken += 1;
             if self.staging[shard].len() >= self.batch_size {
                 self.seal_shard(shard);
             }
         }
-        self.accepted += taken as u64;
-        if taken == 0 && !updates.is_empty() {
-            Poll::Pending
-        } else {
-            Poll::Ready(taken)
-        }
+        self.accepted += updates.len() as u64;
     }
 
-    /// Flush everything buffered in the session toward the workers without
-    /// blocking: seals all partial staging buffers and pumps the outbox.
-    /// `Poll::Ready(())` once every accepted update has been handed to a
-    /// worker channel (workers may still be ingesting); `Poll::Pending` if
-    /// batches remain queued behind full channels — poll again later.
-    pub fn drain(&mut self) -> Poll<()> {
+    /// Seal every staging buffer, partial ones included, and hand the
+    /// batches to the workers.
+    fn flush(&mut self) {
         for shard in 0..self.staging.len() {
             self.seal_shard(shard);
-        }
-        self.pump();
-        if self.outbox.is_empty() {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
-    }
-
-    /// Blocking convenience over [`IngestSession::offer`] for callers
-    /// without an event loop: ingest the whole slice, applying backpressure
-    /// by parking on the oldest queued batch's worker channel (no spin).
-    pub fn ingest_blocking(&mut self, updates: &[Update]) {
-        let mut rest = updates;
-        while !rest.is_empty() {
-            match self.offer(rest) {
-                Poll::Ready(n) => rest = &rest[n..],
-                Poll::Pending => self.block_on_capacity(),
-            }
-        }
-    }
-
-    /// Blocking convenience: ingest a whole stream.
-    pub fn ingest_stream_blocking(&mut self, stream: &UpdateStream) {
-        self.ingest_blocking(stream.updates());
-    }
-
-    /// Send the oldest queued batch with a blocking `send`, waiting for its
-    /// worker to free channel capacity. A dead worker's batch is dropped
-    /// (panic containment), so this always makes progress.
-    fn block_on_capacity(&mut self) {
-        if let Some((shard, batch)) = self.outbox.pop_front() {
-            if self.workers[shard].sender.send(Message::Batch(batch)).is_err() {
-                self.dead[shard] = true;
-            }
-        }
-    }
-
-    /// Seal every staging buffer and push the whole outbox down to the
-    /// workers, blocking on channel capacity as needed.
-    fn flush_blocking(&mut self) {
-        for shard in 0..self.staging.len() {
-            self.seal_shard(shard);
-        }
-        while !self.outbox.is_empty() {
-            self.block_on_capacity();
         }
     }
 
@@ -437,7 +289,7 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
     /// (lowest-indexed dead shard), as at `seal`; the session stays usable
     /// in its degraded state.
     pub fn snapshot(&mut self) -> Result<T, EngineError> {
-        self.flush_blocking();
+        self.flush();
         // request every clone before awaiting any, so the shards copy in
         // parallel
         let replies: Vec<_> = self
@@ -493,7 +345,7 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
     /// [`IngestSession::checkpoint_surviving`] when the healthy shards'
     /// state must be persisted anyway.
     pub fn seal(mut self) -> Result<T, EngineError> {
-        self.flush_blocking();
+        self.flush();
         let (survivors, panicked) = self.join_shards();
         if let Some(&shard) = panicked.first() {
             return Err(EngineError::WorkerPanicked { shard });
@@ -518,7 +370,7 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
     where
         T: Persist,
     {
-        self.flush_blocking();
+        self.flush();
         let plan = self.plan.clone();
         let (survivors, panicked) = self.join_shards();
         if let Some(&shard) = panicked.first() {
@@ -544,7 +396,7 @@ impl<T: ShardIngest + 'static, P: ShardPlan> IngestSession<T, P> {
     where
         T: Persist,
     {
-        self.flush_blocking();
+        self.flush();
         let plan = self.plan.clone();
         let (survivors, panicked) = self.join_shards();
         let buffers = survivors
@@ -568,7 +420,6 @@ impl<T: ShardIngest + 'static, P: ShardPlan + std::fmt::Debug> std::fmt::Debug
             .field("shards", &self.workers.len())
             .field("batch_size", &self.batch_size)
             .field("accepted", &self.accepted)
-            .field("buffered", &self.buffered())
             .finish()
     }
 }

@@ -261,26 +261,6 @@ fn merge_checkpointed_rejects_mismatched_seeds_and_bare_buffers() {
 }
 
 #[test]
-fn merge_encoded_still_covers_bare_persist_buffers() {
-    // the bare-Persist primitive keeps working for states serialized
-    // outside the engine
-    let mut seeds = SeedSequence::new(11);
-    let proto = L0Sampler::new(1 << 10, 0.25, &mut seeds);
-    let updates = workload(1 << 10, 3000, 12);
-    let mut sequential = proto.clone();
-    lps_core::LpSampler::process_batch(&mut sequential, &updates);
-
-    let (left, right) = updates.split_at(updates.len() / 2);
-    let mut a = proto.clone();
-    lps_core::LpSampler::process_batch(&mut a, left);
-    let mut b = proto.clone();
-    lps_core::LpSampler::process_batch(&mut b, right);
-    let merged: L0Sampler =
-        lps_engine::merge_encoded(&[a.encode_to_vec(), b.encode_to_vec()]).expect("bare merge");
-    assert_eq!(merged.state_digest(), sequential.state_digest());
-}
-
-#[test]
 fn merge_checkpointed_agrees_with_in_process_seal() {
     // the two merge paths (session seal vs checkpoint→merge_checkpointed)
     // must be bit-identical, since they share the same deterministic tree

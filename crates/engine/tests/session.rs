@@ -1,13 +1,11 @@
-//! Behavior of the sans-io [`IngestSession`]: the non-blocking
-//! `offer`/`drain` contract (backpressure surfaces as `Poll::Pending`, never
-//! as a blocked dispatcher), exactness across partial acceptance, per-shard
-//! stream-order preservation, the approximate-tolerance gate for float
-//! structures, digest-compatibility between the poll-driven and
-//! blocking driving styles, and the in-memory `snapshot` of a live session.
+//! Behavior of the [`IngestSession`]: blocking backpressure that delivers
+//! every update exactly once and in per-shard stream order, a worker panic
+//! that releases a dispatcher parked on its channel, the approximate-tolerance
+//! gate for float structures, and the in-memory `snapshot` of a live session.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::Poll;
+use std::time::Duration;
 
 use lps_engine::{
     EngineBuilder, IngestSession, KeyRange, RoundRobin, ShardIngest, ShardPlan, Tolerance,
@@ -19,9 +17,9 @@ use lps_stream::Update;
 /// A test structure whose ingestion can be *blocked from the outside*: while
 /// the shared gate is closed, any worker entering `ingest_batch` parks on the
 /// condvar. This lets the tests create real, deterministic backpressure —
-/// workers stalled, channels full — and observe that `offer` reports
-/// `Poll::Pending` instead of blocking the caller (the old dispatch loop
-/// would sit in a blocking `send` here, holding an already-cloned batch).
+/// workers stalled, channels full, the dispatcher parked in its `send`.
+/// Once the gate is open, a batch holding the [`BOMB`] delta panics the
+/// worker.
 #[derive(Clone)]
 struct GatedSketch {
     gate: Arc<(Mutex<bool>, Condvar)>,
@@ -44,6 +42,22 @@ impl GatedSketch {
         let (lock, cvar) = &*self.gate;
         *lock.lock().unwrap() = true;
         cvar.notify_all();
+    }
+
+    /// A thread that opens the gate once a worker has parked on it, after
+    /// giving the dispatcher time to fill that worker's channel and park
+    /// in its own `send`. Nothing reports that the dispatcher has parked,
+    /// so the pause only makes that interleaving the likely one; what the
+    /// tests assert holds under every interleaving.
+    fn open_after_stall(&self) -> std::thread::JoinHandle<()> {
+        let gated = self.clone();
+        std::thread::spawn(move || {
+            while !gated.stalled.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            gated.open_gate();
+        })
     }
 }
 
@@ -70,7 +84,10 @@ impl ShardIngest for GatedSketch {
             open = cvar.wait(open).unwrap();
         }
         drop(open);
-        self.seen.extend(updates.iter().map(|u| u.delta));
+        for u in updates {
+            assert_ne!(u.delta, BOMB, "bomb delta ingested: worker goes down");
+            self.seen.push(u.delta);
+        }
     }
 }
 
@@ -89,133 +106,57 @@ fn turnstile(n: usize, seed: u64) -> Vec<Update> {
         .collect()
 }
 
-/// The heart of the backpressure satellite fix: with every worker stalled,
-/// `offer` must keep returning (`Ready` while buffers fill, then `Pending`)
-/// instead of blocking — and once the gate opens, every accepted update must
-/// be ingested exactly once.
-#[test]
-fn offer_reports_pending_under_backpressure_instead_of_blocking() {
-    let proto = GatedSketch::new();
-    let mut session = EngineBuilder::new(&proto).shards(2).batch_size(8).session();
-    let ups = updates(4000);
-
-    // Prime the pipeline with a few batches and wait until a worker is
-    // provably parked on the closed gate, so the backpressure observed
-    // below is real worker stall, not scheduling noise.
-    let mut accepted = match session.offer(&ups[..32]) {
-        Poll::Ready(n) => n,
-        Poll::Pending => unreachable!("empty buffers accept the first batches"),
-    };
-    while !proto.stalled.load(Ordering::SeqCst) {
-        std::thread::yield_now();
-    }
-
-    let mut saw_pending = false;
-    // If offer ever blocked, this loop would deadlock with the gate closed
-    // and the test would hang; bounded buffers guarantee Pending instead.
-    for _ in 0..10_000 {
-        match session.offer(&ups[accepted..]) {
-            Poll::Ready(n) => accepted += n,
-            Poll::Pending => {
-                saw_pending = true;
-                break;
-            }
-        }
-        if accepted == ups.len() {
-            break;
-        }
-    }
-    assert!(saw_pending, "a stalled worker must eventually surface as Poll::Pending");
-    assert!(accepted < ups.len(), "bounded buffers cannot absorb the whole stream");
-    assert!(accepted > 0, "some updates must be accepted before backpressure");
-    assert_eq!(session.accepted() as usize, accepted);
-
-    // Unblock the workers; the blocking conveniences finish the stream.
-    proto.open_gate();
-    session.ingest_blocking(&ups[accepted..]);
-    let merged = session.seal().unwrap();
-
-    // exactly-once: the union of all shards saw every delta exactly once
-    let mut got: Vec<i64> = merged.seen.clone();
-    got.sort_unstable();
-    let mut want: Vec<i64> = ups.iter().map(|u| u.delta).collect();
-    want.sort_unstable();
-    assert_eq!(got, want, "updates were lost or duplicated under backpressure");
-    assert!(proto.stalled.load(Ordering::SeqCst), "the gate did stall the workers");
-}
-
-/// Per-shard stream order must survive the outbox (batches for a stalled
-/// shard may not be overtaken by later batches for the same shard).
+/// With every worker parked on the closed gate, `ingest_blocking` fills the
+/// channels and parks in `send` until a second thread opens the gate. Every
+/// update must then arrive exactly once: in stream order with one shard
+/// (a shard's batches may not overtake one another), and as the same
+/// multiset with two.
 #[test]
 fn per_shard_order_is_preserved_across_backpressure() {
-    let proto = GatedSketch::new();
-    let mut session = EngineBuilder::new(&proto).shards(1).batch_size(4).session();
-    let ups = updates(500);
-
-    let mut accepted = 0;
-    while accepted < ups.len() {
-        match session.offer(&ups[accepted..]) {
-            Poll::Ready(n) => accepted += n,
-            Poll::Pending => break,
-        }
-    }
-    proto.open_gate();
-    session.ingest_blocking(&ups[accepted..]);
-    let merged = session.seal().unwrap();
-    let want: Vec<i64> = ups.iter().map(|u| u.delta).collect();
-    assert_eq!(merged.seen, want, "single-shard ingestion must preserve stream order");
-}
-
-/// `drain` flushes staged partial batches and reports readiness.
-#[test]
-fn drain_flushes_partial_batches() {
-    let proto = GatedSketch::new();
-    proto.open_gate();
-    let mut session = EngineBuilder::new(&proto).shards(3).batch_size(1000).session();
-    let ups = updates(17); // far below one batch: stays staged without drain
-    assert_eq!(session.offer(&ups), Poll::Ready(17));
-    assert_eq!(session.buffered(), 17);
-    while session.drain().is_pending() {
-        std::thread::yield_now();
-    }
-    assert_eq!(session.buffered(), 0);
-    let merged = session.seal().unwrap();
-    assert_eq!(merged.seen.len(), 17);
-}
-
-/// The sans-io poll loop must land on the same bits as the blocking
-/// `ingest_blocking`/`seal` surface (and sequential ingestion) — polling is a
-/// different driving style, not different semantics.
-#[test]
-fn poll_driven_session_reproduces_blocking_session_digests() {
-    let mut seeds = SeedSequence::new(42);
-    let proto = SparseRecovery::new(1 << 10, 8, &mut seeds);
-    let ups = turnstile(5000, 43);
-
-    let mut sequential = proto.clone();
-    sequential.process_batch(&ups);
-
-    let blocking = {
-        let mut session = EngineBuilder::new(&proto).shards(4).batch_size(128).session();
+    for shards in [1, 2] {
+        let proto = GatedSketch::new();
+        // 125 batches of 4: far more than the parked workers' channels hold
+        let mut session = EngineBuilder::new(&proto).shards(shards).batch_size(4).session();
+        let ups = updates(500);
+        let opener = proto.open_after_stall();
         session.ingest_blocking(&ups);
-        session.seal().unwrap()
-    };
-
-    let mut session = EngineBuilder::new(&proto).shards(4).batch_size(128).session();
-    let mut rest = &ups[..];
-    while !rest.is_empty() {
-        match session.offer(rest) {
-            Poll::Ready(n) => rest = &rest[n..],
-            Poll::Pending => std::thread::yield_now(),
+        opener.join().unwrap();
+        let mut got = session.seal().unwrap().seen;
+        let mut want: Vec<i64> = ups.iter().map(|u| u.delta).collect();
+        if shards == 1 {
+            assert_eq!(got, want, "single-shard ingestion must preserve stream order");
+        } else {
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "updates were lost or duplicated under backpressure");
         }
     }
-    while session.drain().is_pending() {
-        std::thread::yield_now();
-    }
-    let polled = session.seal().unwrap();
+}
 
-    assert_eq!(blocking.state_digest(), sequential.state_digest());
-    assert_eq!(polled.state_digest(), sequential.state_digest());
+/// A worker that panics while the dispatcher is parked on its full channel
+/// drops the channel's receiver, which fails the parked `send`: the shard
+/// is marked dead, the rest of its batches are dropped, `ingest_blocking`
+/// returns instead of hanging, and `seal` reports the typed error.
+#[test]
+fn worker_panic_releases_a_dispatcher_parked_on_its_full_channel() {
+    let proto = GatedSketch::new();
+    // batch size 1: the worker parks on the bomb's batch, the next batches
+    // fill its channel, and the dispatcher parks on the one after
+    let mut session = EngineBuilder::new(&proto).shards(1).batch_size(1).session();
+    let mut ups = vec![Update::new(0, BOMB)];
+    ups.extend(updates(100));
+    let opener = proto.open_after_stall();
+    let (returned, ingested) = std::sync::mpsc::channel();
+    let dispatcher = std::thread::spawn(move || {
+        session.ingest_blocking(&ups);
+        returned.send(session).unwrap();
+    });
+    let session = ingested
+        .recv_timeout(Duration::from_secs(60))
+        .expect("ingest_blocking hung on a dead worker's channel");
+    dispatcher.join().unwrap();
+    opener.join().unwrap();
+    assert_eq!(session.seal().err(), Some(EngineError::WorkerPanicked { shard: 0 }));
 }
 
 /// A mid-stream `snapshot` is the merged state of exactly the prefix

@@ -10,8 +10,8 @@
 //! tenant-tagged envelopes and pushed to a [`SpillBackend`], then restored
 //! transparently the next time they are touched.
 //!
-//! Ingestion is sans-io, mirroring the engine's ingest sessions: [`route`]
-//! returns [`Poll::Pending`] when the eviction outbox has grown past the
+//! Ingestion is sans-io: [`route`] performs no I/O and returns
+//! [`Poll::Pending`] when the eviction outbox has grown past the
 //! configured backlog, and [`drain`] flushes the outbox to the backend.
 //! Callers that don't care use [`route_blocking`].
 //!

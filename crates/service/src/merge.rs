@@ -159,9 +159,9 @@ impl<T: ServeQuery> MergeService<T> {
     }
 
     /// Route a run of updates into the live session. Under backpressure
-    /// the ingest thread parks on the oldest queued batch's worker channel:
-    /// blocking here is the intended backpressure point, and parking leaves
-    /// the cores to the workers it waits on.
+    /// the ingest thread parks on the full channel of the worker its next
+    /// batch goes to: blocking here is the intended backpressure point, and
+    /// parking leaves the cores to the workers it waits on.
     pub fn ingest(&mut self, updates: &[Update]) {
         self.session.ingest_blocking(updates);
     }
@@ -172,7 +172,9 @@ impl<T: ServeQuery> MergeService<T> {
     /// `DecodeError::PlanMismatch` (which the server answers as a protocol
     /// `Error` frame — the connection survives). Once every shard of a set
     /// has arrived, the set is merged into the absorbed state and the next
-    /// publish folds it into the snapshot.
+    /// publish folds it into the snapshot. A buffer for a shard index that
+    /// is already pending is refused with `DecodeError::Corrupt`; the one
+    /// that arrived first stays in the set.
     pub fn upload(&mut self, buffer: Vec<u8>) -> Result<(), ServiceError> {
         let (envelope, payload) = read_envelope(&buffer)?;
         if envelope.strategy != PlanStrategy::RoundRobin {
@@ -201,7 +203,14 @@ impl<T: ServeQuery> MergeService<T> {
             .into());
         }
         let set = self.pending.entry(count).or_insert_with(|| vec![None; count]);
-        set[envelope.shard as usize] = Some(buffer);
+        let slot = &mut set[envelope.shard as usize];
+        if slot.is_some() {
+            return Err(DecodeError::Corrupt {
+                context: "upload repeats a shard index already pending in its set",
+            }
+            .into());
+        }
+        *slot = Some(buffer);
         if set.iter().all(Option::is_some) {
             let set = self.pending.remove(&count).expect("set present");
             let buffers: Vec<Vec<u8>> =

@@ -230,6 +230,42 @@ fn out_of_range_batches_are_refused_before_anything_is_applied() {
     server.join();
 }
 
+/// A second buffer for a shard index that is already pending is refused
+/// with a typed `Decode` error and leaves the pending set alone: shard 0 of
+/// set B must not replace shard 0 of set A, so once A completes the
+/// count-min digest is sequential ingestion of A's stream, and the
+/// connection keeps serving.
+#[test]
+fn a_repeated_shard_upload_is_refused_and_keeps_the_first() {
+    let server = RunningServer::bind_tcp("127.0.0.1:0", config()).expect("bind");
+    let mut client =
+        ServiceClient::connect_tcp(server.local_addr().expect("address")).expect("connect");
+
+    let protos = CatalogPrototypes::standard(DIM, SEED);
+    let checkpoint_set = |stream: &[Update]| {
+        let mut session = EngineBuilder::new(&protos.count_min).shards(2).batch_size(128).session();
+        session.ingest_blocking(stream);
+        session.checkpoint().expect("local checkpoint")
+    };
+    let (a_stream, b_stream) = (workload(2_000, 6), workload(2_000, 7));
+    let (a, b) = (checkpoint_set(&a_stream), checkpoint_set(&b_stream));
+
+    client.upload_checkpoint(a[0].clone()).expect("A's shard 0 accepted");
+    match client.upload_checkpoint(b[0].clone()) {
+        Err(ServiceError::Remote { code: ErrorCode::Decode, detail }) => {
+            assert!(detail.contains("already pending"), "detail names the violation: {detail}");
+        }
+        other => panic!("a repeated shard index should be a Decode error, got {other:?}"),
+    }
+    client.upload_checkpoint(a[1].clone()).expect("A's shard 1 accepted");
+
+    let mut reference = protos.count_min.clone();
+    reference.ingest_batch(&a_stream);
+    assert_eq!(client.digest(tags::COUNT_MIN).expect("digest"), reference.state_digest());
+    client.shutdown().expect("shutdown ack");
+    server.join();
+}
+
 /// A catalog over more coordinates than the field has elements would hand
 /// the hash kernels non-canonical keys that still pass the service's
 /// `index < dimension` check, so the catalog refuses to be built.

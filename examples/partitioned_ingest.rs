@@ -1,14 +1,10 @@
-//! Strategy-driven ingestion through the sans-io session API: the same
-//! stream pushed through a round-robin plan (replicated shards, additive
-//! merge) and a key-range plan (partitioned coordinate space, disjoint-union
-//! merge), both landing bit-identically on the sequential state — plus a
-//! poll-driven `offer`/`drain` loop showing how the engine sits behind an
-//! event loop without ever blocking the dispatcher, and an
+//! Strategy-driven ingestion through the session API: the same stream
+//! pushed through a round-robin plan (replicated shards, additive merge) and
+//! a key-range plan (partitioned coordinate space, disjoint-union merge),
+//! both landing bit-identically on the sequential state — plus an
 //! approximate-tolerance plan unlocking a float structure.
 //!
 //! Run with `cargo run --release --example partitioned_ingest`.
-
-use std::task::Poll;
 
 use lp_samplers::prelude::*;
 
@@ -51,34 +47,6 @@ fn main() {
     let key_range = session.seal().unwrap();
     assert_eq!(key_range.state_digest(), sequential.state_digest());
     println!("key-range    x{shards}: digest {:#018x} == sequential", key_range.state_digest());
-
-    // --- the sans-io surface: a poll loop that never blocks on offer ---
-    let mut session =
-        EngineBuilder::new(&proto).plan(KeyRange::new(n, shards)).batch_size(256).session();
-    let mut rest = &updates[..];
-    let mut pendings = 0u64;
-    while !rest.is_empty() {
-        match session.offer(rest) {
-            Poll::Ready(accepted) => rest = &rest[accepted..],
-            // a real event loop would go service sockets here; we just yield
-            Poll::Pending => {
-                pendings += 1;
-                std::thread::yield_now();
-            }
-        }
-    }
-    while session.drain().is_pending() {
-        std::thread::yield_now();
-    }
-    let polled = session.seal().unwrap();
-    assert_eq!(polled.state_digest(), sequential.state_digest());
-    // `pendings` depends on thread scheduling, so it stays out of the
-    // (byte-reproducible) output
-    let _ = pendings;
-    println!(
-        "sans-io poll loop: never blocked the dispatcher, digest {:#018x} == sequential",
-        polled.state_digest()
-    );
 
     // --- float structures shard too, behind an explicit opt-in ---
     let mut seeds = SeedSequence::new(43);

@@ -82,8 +82,8 @@ pub mod prelude {
         PriorWorkDuplicateFinder, ShortStreamDuplicateFinder,
     };
     pub use lps_engine::{
-        merge_checkpointed, merge_encoded, parallel_ingest, partitioned_ingest, EngineBuilder,
-        IngestSession, KeyRange, RoundRobin, ShardIngest, ShardPlan, Tolerance,
+        merge_checkpointed, parallel_ingest, partitioned_ingest, EngineBuilder, IngestSession,
+        KeyRange, RoundRobin, ShardIngest, ShardPlan, Tolerance,
     };
     pub use lps_hash::SeedSequence;
     pub use lps_heavy::{
