@@ -50,7 +50,7 @@ fn run_service(spec: &WorkloadSpec) -> Result<WorkloadOutcome, String> {
         .map_err(|e| format!("connect to loopback server: {e}"))?;
     let outcome = run_workload(spec, &mut target).map_err(|e| format!("service target: {e}"));
     // Shut the server down whether or not the run succeeded, so a failed
-    // run does not leak the acceptor/ingest threads.
+    // run does not leak the acceptor and connection threads.
     let _ = target.shutdown();
     server.join();
     outcome

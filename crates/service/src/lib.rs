@@ -16,12 +16,12 @@
 //!   protocol [`Frame::Error`], not a disconnect) and publishing periodic
 //!   merged snapshots that answer live queries **without pausing
 //!   ingestion** (snapshot swap under an `Arc`; reads never take the
-//!   ingest lock).
+//!   core lock).
 //! * [`server`] / [`client`] — a **blocking socket front-end** (std-only:
-//!   `TcpListener`/`UnixListener`, a thread per connection feeding one
-//!   ingest thread over a bounded channel, so backpressure lands on
-//!   connections and never on the acceptor) and the matching client
-//!   library.
+//!   `TcpListener`/`UnixListener`, a thread per connection applying
+//!   ingest-ordered frames to the core under one lock, so backpressure
+//!   lands on connections and never on the acceptor) and the matching
+//!   client library.
 //!
 //! Every failure across the stack converges on [`ServiceError`], which the
 //! server maps to typed protocol [`Frame::Error`]s instead of

@@ -12,8 +12,8 @@
 //!   and are stale by at most one publish interval
 //!   ([`ServiceConfig::publish_interval`] accepted updates) plus whatever
 //!   is in flight inside the ingest sessions.
-//! * **Digest queries** (structure or tenant) route through the ingest
-//!   thread like writes, forcing a fresh publish first — so they are
+//! * **Digest queries** (structure or tenant) are applied under the core
+//!   lock like writes, forcing a fresh publish first — so they are
 //!   linearized with ingestion: a digest answered after the service
 //!   accepted updates `1..k` covers exactly those updates. The CI loopback
 //!   harness leans on this for its bit-identity assertions.
@@ -70,8 +70,6 @@ pub struct ServiceConfig {
     pub batch_size: usize,
     /// Accepted-update count between automatic snapshot publishes.
     pub publish_interval: u64,
-    /// Bound of the connection→ingest request channel (backpressure depth).
-    pub queue_depth: usize,
     /// `max_resident` of the tenant registry.
     pub max_resident: usize,
     /// Authentication token connections must present in their `Hello`
@@ -84,7 +82,7 @@ impl ServiceConfig {
     /// their defaults (1 shard per structure — the seven structures already
     /// ingest in parallel, and a second replica only doubles memory and
     /// threads — 1024-update dispatch batches, publish every 25 000
-    /// accepted updates, 64-request queue, 1024 resident tenants).
+    /// accepted updates, 1024 resident tenants).
     pub fn new(dimension: u64, seed: u64) -> Self {
         ServiceConfig {
             dimension,
@@ -92,7 +90,6 @@ impl ServiceConfig {
             shards: 1,
             batch_size: 1024,
             publish_interval: 25_000,
-            queue_depth: 64,
             max_resident: 1024,
             auth_token: None,
         }
@@ -113,12 +110,6 @@ impl ServiceConfig {
     /// Set the accepted-update count between automatic publishes.
     pub fn publish_interval(mut self, interval: u64) -> Self {
         self.publish_interval = interval.max(1);
-        self
-    }
-
-    /// Set the bound of the connection→ingest request channel.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
         self
     }
 
@@ -159,9 +150,10 @@ impl<T: ServeQuery> MergeService<T> {
     }
 
     /// Route a run of updates into the live session. Under backpressure
-    /// the ingest thread parks on the full channel of the worker its next
-    /// batch goes to: blocking here is the intended backpressure point, and
-    /// parking leaves the cores to the workers it waits on.
+    /// the calling connection thread parks, holding the core lock, on the
+    /// full channel of the worker its next batch goes to: blocking here is
+    /// the intended backpressure point, and parking leaves the cores to the
+    /// workers it waits on.
     pub fn ingest(&mut self, updates: &[Update]) {
         self.session.ingest_blocking(updates);
     }
@@ -264,8 +256,8 @@ impl<T: ServeQuery> SnapshotQuery for T {
 }
 
 /// The published snapshots, one per catalog structure, keyed by `Persist`
-/// tag. Connection threads hold a [`SnapshotHandle`]; the ingest thread
-/// swaps fresh `Arc`s in after each publish.
+/// tag. Connection threads hold a [`SnapshotHandle`]; whichever of them
+/// publishes, under the core lock, swaps fresh `Arc`s in.
 #[derive(Default)]
 struct SnapshotStore {
     map: Mutex<HashMap<u16, Arc<dyn SnapshotQuery>>>,
@@ -273,8 +265,9 @@ struct SnapshotStore {
 
 /// A cloneable, lock-light read handle over the published snapshots: the
 /// surface connection threads answer live queries from. `serve` takes the
-/// store lock only long enough to clone one `Arc` — it never contends with
-/// ingestion, which holds no lock at all.
+/// store lock only long enough to clone one `Arc` — never the core lock, so
+/// it contends with ingestion only for the moment a publish swaps an `Arc`
+/// in.
 #[derive(Clone)]
 pub struct SnapshotHandle {
     store: Arc<SnapshotStore>,
@@ -283,8 +276,8 @@ pub struct SnapshotHandle {
 impl SnapshotHandle {
     /// Answer a live query from the latest published snapshot of the
     /// structure it names. Digest kinds are *not* answered here — they
-    /// need linearization with ingestion, so the server routes them
-    /// through the ingest thread ([`ServiceCore::apply`]).
+    /// need linearization with ingestion, so the server applies them under
+    /// the core lock ([`ServiceCore::apply`]).
     pub fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         let tag = match query {
             Query::Sample { structure }
@@ -294,7 +287,7 @@ impl SnapshotHandle {
             Query::TenantDigest { .. } => {
                 return Err(ServiceError::Unsupported {
                     structure: "registry",
-                    query: "tenant-digest outside the ingest thread",
+                    query: "tenant-digest outside the core lock",
                 })
             }
         };
@@ -350,8 +343,8 @@ impl<T: ServeQuery> Slot for MergeService<T> {
 
 /// The single-threaded heart of the server: the catalog's merge services
 /// plus the multi-tenant registry, applied to frames in arrival order by
-/// the ingest thread. Everything here is sans-io — the socket layer lives
-/// in [`crate::server`].
+/// the connection threads, one at a time under one mutex. Everything here
+/// is sans-io — the socket layer lives in [`crate::server`].
 pub struct ServiceCore {
     slots: Vec<Box<dyn Slot>>,
     registry: SketchRegistry<lps_sketch::CountMinSketch, MemorySpill>,

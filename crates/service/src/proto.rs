@@ -212,8 +212,8 @@ pub enum Query {
         /// `Persist` structure tag (sparse recovery).
         structure: u16,
     },
-    /// The structure's `state_digest` — answered through the ingest thread
-    /// after a fresh publish, so it reflects everything routed before it.
+    /// The structure's `state_digest` — answered under the core lock after
+    /// a fresh publish, so it reflects everything applied before it.
     Digest {
         /// `Persist` structure tag.
         structure: u16,

@@ -1,22 +1,25 @@
 //! The blocking socket front-end: std-only listeners feeding the sans-io
-//! [`ServiceCore`] from a dedicated ingest thread.
+//! [`ServiceCore`], which connection threads share under one lock.
 //!
 //! ## Threading model
 //!
 //! * **Acceptor thread** — polls a non-blocking listener, spawns one
 //!   connection thread per accepted socket, and joins them on shutdown. It
-//!   never touches the ingest channel, so a stalled ingest pipeline cannot
-//!   stop new connections from being accepted.
+//!   never takes the core lock, so a stalled ingest pipeline cannot stop new
+//!   connections from being accepted.
 //! * **Connection threads** — frame the byte stream through a per-connection
 //!   [`FrameCodec`], answer live queries (sample / point-estimate /
 //!   duplicates) directly from the [`SnapshotHandle`] without any ingest
-//!   coordination, and forward ingest-ordered frames (update batches,
-//!   checkpoint uploads, digest queries) over a **bounded** channel —
-//!   blocking on `send` when the ingest thread falls behind, so
-//!   backpressure lands on the connection that produced the load.
-//! * **Ingest thread** — owns the [`ServiceCore`] outright (no lock) and
-//!   applies requests in arrival order, posting each reply back on a
-//!   one-shot channel.
+//!   coordination, and apply ingest-ordered frames (update batches,
+//!   checkpoint uploads, digest queries, shutdown) themselves, under the
+//!   core's mutex. Arrival order is lock order, so a digest is linearized
+//!   with the writes before it. The guard is dropped before the reply is
+//!   encoded and written: a slow socket never holds ingestion.
+//!
+//! Backpressure parks the producing connection, on the core lock or on a
+//! full worker channel of an ingest session inside [`ServiceCore::apply`].
+//! Lock order is the core lock, then the snapshot-store lock inside a
+//! publish; live queries take only the snapshot-store lock.
 //!
 //! Failures stay scoped to their connection: a malformed byte stream earns
 //! a best-effort [`Frame::Error`] and a close, a rejected upload (for
@@ -32,32 +35,20 @@ use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::Poll;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::merge::{ServiceConfig, ServiceCore, SnapshotHandle};
-use crate::proto::{ErrorCode, Frame, FrameCodec, Query, PROTOCOL_VERSION};
+use crate::proto::{ErrorCode, Frame, FrameCodec, Query, Reply, PROTOCOL_VERSION};
 use crate::ServiceError;
 
 /// How long blocking reads wait before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(250);
-/// How long the ingest thread waits on its queue before re-checking the
-/// shutdown flag.
-const INGEST_POLL: Duration = Duration::from_millis(50);
-/// How long the acceptor sleeps when no connection is pending.
+/// How long the acceptor sleeps when no connection is pending or an
+/// accept failed.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// A request forwarded from a connection thread to the ingest thread. The
-/// reply channel is a rendezvous: the connection blocks until the core has
-/// applied the frame, which is what serializes acknowledgements with
-/// ingestion.
-enum Request {
-    Apply(Frame, SyncSender<Frame>),
-    Shutdown(SyncSender<Frame>),
-}
 
 /// The socket transports a connection thread can sit on. Both TCP and Unix
 /// streams qualify; the trait erases the difference so one connection loop
@@ -106,8 +97,8 @@ impl Acceptor for UnixListener {
     }
 }
 
-/// A running service instance: the acceptor, its connection threads, and
-/// the ingest thread, all stoppable from the handle.
+/// A running service instance: the acceptor and its connection threads,
+/// stoppable from the handle.
 ///
 /// ```no_run
 /// use lps_service::{RunningServer, ServiceConfig};
@@ -120,8 +111,8 @@ impl Acceptor for UnixListener {
 pub struct RunningServer {
     addr: Option<SocketAddr>,
     shutdown: Arc<AtomicBool>,
+    core: Arc<Mutex<ServiceCore>>,
     acceptor: Option<JoinHandle<()>>,
-    ingest: Option<JoinHandle<u64>>,
 }
 
 impl RunningServer {
@@ -148,19 +139,15 @@ impl RunningServer {
     fn start(listener: Box<dyn Acceptor>, addr: Option<SocketAddr>, config: ServiceConfig) -> Self {
         let core = ServiceCore::new(&config);
         let snapshots = core.snapshot_handle();
+        let core = Arc::new(Mutex::new(core));
         let shutdown = Arc::new(AtomicBool::new(false));
         let auth_token = config.auth_token.clone().map(Arc::new);
-        let (tx, rx) = sync_channel::<Request>(config.queue_depth);
-
-        let ingest = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || ingest_loop(core, rx, shutdown))
-        };
         let acceptor = {
+            let core = Arc::clone(&core);
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || accept_loop(listener, tx, snapshots, shutdown, auth_token))
+            std::thread::spawn(move || accept_loop(listener, core, snapshots, shutdown, auth_token))
         };
-        RunningServer { addr, shutdown, acceptor: Some(acceptor), ingest: Some(ingest) }
+        RunningServer { addr, shutdown, core, acceptor: Some(acceptor) }
     }
 
     /// The bound TCP address (`None` for Unix-domain servers).
@@ -169,8 +156,8 @@ impl RunningServer {
     }
 
     /// Stop the server from this side: flag shutdown, then join the
-    /// acceptor (which joins its connections) and the ingest thread.
-    /// Returns the total updates the core accepted.
+    /// acceptor (which joins its connections). Returns the total updates
+    /// the core accepted.
     pub fn stop(mut self) -> u64 {
         self.shutdown.store(true, Ordering::SeqCst);
         self.join_threads()
@@ -180,25 +167,17 @@ impl RunningServer {
     /// [`Frame::Shutdown`], then join everything. Returns the total
     /// updates the core accepted.
     pub fn join(mut self) -> u64 {
-        let accepted = match self.ingest.take() {
-            Some(handle) => handle.join().unwrap_or(0),
-            None => 0,
-        };
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        accepted
+        self.join_threads()
     }
 
+    /// Join the acceptor, which returns once shutdown is flagged and its
+    /// connections have closed, then read the final count. A core whose
+    /// lock a panic poisoned reports 0.
     fn join_threads(&mut self) -> u64 {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        match self.ingest.take() {
-            Some(handle) => handle.join().unwrap_or(0),
-            None => 0,
-        }
+        self.core.lock().map(|core| core.accepted()).unwrap_or(0)
     }
 }
 
@@ -209,45 +188,11 @@ impl Drop for RunningServer {
     }
 }
 
-/// The ingest thread: applies requests in arrival order against the core
-/// it exclusively owns. Returns the total accepted-update count.
-fn ingest_loop(mut core: ServiceCore, rx: Receiver<Request>, shutdown: Arc<AtomicBool>) -> u64 {
-    loop {
-        match rx.recv_timeout(INGEST_POLL) {
-            Ok(Request::Apply(frame, reply)) => {
-                let response = match core.apply(frame) {
-                    Ok(frame) => frame,
-                    Err(e) => e.to_error_frame(),
-                };
-                let _ = reply.send(response);
-            }
-            Ok(Request::Shutdown(reply)) => {
-                // Publish one final snapshot set so a post-mortem reader of
-                // the handle sees everything, then acknowledge and stop.
-                let response = match core.publish_all() {
-                    Ok(()) => Frame::Reply(crate::proto::Reply::Ack { accepted: core.accepted() }),
-                    Err(e) => e.to_error_frame(),
-                };
-                let _ = reply.send(response);
-                shutdown.store(true, Ordering::SeqCst);
-                break;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    core.accepted()
-}
-
 /// The acceptor thread: polls the listener, spawns connection threads, and
 /// joins them all once shutdown is flagged.
 fn accept_loop(
     listener: Box<dyn Acceptor>,
-    tx: SyncSender<Request>,
+    core: Arc<Mutex<ServiceCore>>,
     snapshots: SnapshotHandle,
     shutdown: Arc<AtomicBool>,
     auth_token: Option<Arc<String>>,
@@ -256,16 +201,18 @@ fn accept_loop(
     while !shutdown.load(Ordering::SeqCst) {
         match listener.poll_accept() {
             Ok(Some(conn)) => {
-                let tx = tx.clone();
+                let core = Arc::clone(&core);
                 let snapshots = snapshots.clone();
                 let shutdown = Arc::clone(&shutdown);
                 let auth_token = auth_token.clone();
                 connections.push(std::thread::spawn(move || {
-                    serve_connection(conn, tx, snapshots, shutdown, auth_token)
+                    serve_connection(conn, core, snapshots, shutdown, auth_token)
                 }));
             }
-            Ok(None) => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => break,
+            // accept(2) fails transiently (an aborted connection, a pending
+            // network error, EMFILE until descriptors are freed), and the
+            // caller must retry: a failed accept waits like an empty one.
+            Ok(None) | Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
         connections.retain(|handle| !handle.is_finished());
     }
@@ -285,7 +232,7 @@ fn write_frame(conn: &mut dyn Connection, frame: &Frame) -> io::Result<()> {
 /// write each reply.
 fn serve_connection(
     mut conn: Box<dyn Connection>,
-    tx: SyncSender<Request>,
+    core: Arc<Mutex<ServiceCore>>,
     snapshots: SnapshotHandle,
     shutdown: Arc<AtomicBool>,
     auth_token: Option<Arc<String>>,
@@ -325,7 +272,8 @@ fn serve_connection(
                     if !handle_frame(
                         conn.as_mut(),
                         frame,
-                        &tx,
+                        &core,
+                        &shutdown,
                         &snapshots,
                         auth_token.as_deref(),
                         &mut authed,
@@ -347,11 +295,36 @@ fn serve_connection(
     }
 }
 
+/// Run `f` on the core under its lock, then write its reply once the guard
+/// is dropped: a slow socket never holds ingestion. A core that is shutting
+/// down, or whose lock a panic mid-apply poisoned, gets a typed `Internal`
+/// refusal instead, and `false` closes the connection.
+fn apply_locked(
+    conn: &mut dyn Connection,
+    core: &Mutex<ServiceCore>,
+    shutdown: &AtomicBool,
+    f: impl FnOnce(&mut ServiceCore) -> Frame,
+) -> bool {
+    let response = match core.lock() {
+        Ok(mut core) if !shutdown.load(Ordering::SeqCst) => Some(f(&mut core)),
+        _ => None,
+    };
+    match response {
+        Some(response) => write_frame(conn, &response).is_ok(),
+        None => {
+            let detail = "service is shutting down".to_string();
+            let _ = write_frame(conn, &Frame::Error { code: ErrorCode::Internal, detail });
+            false
+        }
+    }
+}
+
 /// Route one decoded frame; `false` means the connection should close.
 fn handle_frame(
     conn: &mut dyn Connection,
     frame: Frame,
-    tx: &SyncSender<Request>,
+    core: &Mutex<ServiceCore>,
+    shutdown: &AtomicBool,
     snapshots: &SnapshotHandle,
     auth_token: Option<&String>,
     authed: &mut bool,
@@ -401,7 +374,7 @@ fn handle_frame(
                 .is_ok()
         }
         // Live queries: answered from the published snapshot, never
-        // entering the ingest queue — ingestion load cannot delay them.
+        // taking the core lock — ingestion load cannot delay them.
         Frame::Query(
             query @ (Query::Sample { .. } | Query::PointEstimate { .. } | Query::Duplicates { .. }),
         ) => {
@@ -412,34 +385,26 @@ fn handle_frame(
             write_frame(conn, &response).is_ok()
         }
         Frame::Shutdown => {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            if tx.send(Request::Shutdown(reply_tx)).is_err() {
-                return false;
-            }
-            if let Ok(response) = reply_rx.recv() {
-                let _ = write_frame(conn, &response);
-            }
+            // The flag is set under the lock, so every frame that takes the
+            // lock after this one is refused: nothing is applied after the
+            // ack. One final publish lets a post-mortem reader of the
+            // snapshot handle see everything.
+            apply_locked(conn, core, shutdown, |core| {
+                shutdown.store(true, Ordering::SeqCst);
+                match core.publish_all() {
+                    Ok(()) => Frame::Reply(Reply::Ack { accepted: core.accepted() }),
+                    Err(e) => e.to_error_frame(),
+                }
+            });
             false
         }
         // Everything else is ingest-ordered: update batches, checkpoint
-        // uploads, digest queries. `send` blocks when the bounded queue is
-        // full — that is the backpressure point.
+        // uploads, digest queries. Waiting for the lock, or for a full
+        // worker channel inside `apply`, is the backpressure point.
         frame @ (Frame::UpdateBatch { .. } | Frame::CheckpointUpload { .. } | Frame::Query(_)) => {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            if tx.send(Request::Apply(frame, reply_tx)).is_err() {
-                let _ = write_frame(
-                    conn,
-                    &Frame::Error {
-                        code: ErrorCode::Internal,
-                        detail: "service is shutting down".to_string(),
-                    },
-                );
-                return false;
-            }
-            match reply_rx.recv() {
-                Ok(response) => write_frame(conn, &response).is_ok(),
-                Err(_) => false,
-            }
+            apply_locked(conn, core, shutdown, |core| {
+                core.apply(frame).unwrap_or_else(|e| e.to_error_frame())
+            })
         }
         // A server never expects replies or errors from a client; flag it
         // but keep the conversation open.
@@ -451,5 +416,36 @@ fn handle_frame(
             },
         )
         .is_ok(),
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use crate::ServiceClient;
+
+    /// A scripted listener: each poll pops the next accept result.
+    impl Acceptor for Mutex<Vec<io::Result<UnixStream>>> {
+        fn poll_accept(&self) -> io::Result<Option<Box<dyn Connection>>> {
+            match self.lock().expect("no test thread panics holding it").pop() {
+                Some(accepted) => accepted.map(|conn| Some(Box::new(conn) as Box<dyn Connection>)),
+                None => Ok(None),
+            }
+        }
+    }
+
+    #[test]
+    fn the_acceptor_keeps_accepting_after_a_failed_accept() {
+        let (server_end, client_end) = UnixStream::pair().expect("socket pair");
+        // popped from the back: a peer that reset before `accept` returned, then a live one
+        let script = vec![Ok(server_end), Err(io::ErrorKind::ConnectionAborted.into())];
+        let server = RunningServer::start(
+            Box::new(Mutex::new(script)),
+            None,
+            ServiceConfig::new(1 << 10, 7),
+        );
+        client_end.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        ServiceClient::handshake(client_end).expect("the connection after the failure is served");
+        server.stop();
     }
 }

@@ -11,6 +11,7 @@
 //! exactly.
 
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 
 use lps_engine::{EngineBuilder, KeyRange, ShardIngest};
 use lps_service::proto::tags as frame_tags;
@@ -264,6 +265,126 @@ fn a_repeated_shard_upload_is_refused_and_keeps_the_first() {
     assert_eq!(client.digest(tags::COUNT_MIN).expect("digest"), reference.state_digest());
     client.shutdown().expect("shutdown ack");
     server.join();
+}
+
+/// Once a client's `Shutdown` is acknowledged with count N, no other
+/// connection's write is applied: it is refused with a typed `Internal`
+/// error (or finds the connection closed), never acknowledged, and `join`
+/// returns N.
+#[test]
+fn nothing_is_applied_after_a_shutdown_ack() {
+    let server = RunningServer::bind_tcp("127.0.0.1:0", config()).expect("bind");
+    let addr = server.local_addr().expect("address");
+    let mut a = ServiceClient::connect_tcp(addr).expect("connect A");
+    let mut b = ServiceClient::connect_tcp(addr).expect("connect B");
+
+    let stream = workload(1_000, 11);
+    a.send_updates(0, &stream[..600]).expect("A's batch");
+    b.send_updates(5, &stream[600..]).expect("B's batch");
+    let acked = a.shutdown().expect("shutdown ack");
+    assert_eq!(acked, stream.len() as u64);
+
+    match b.send_updates(0, &stream[..10]) {
+        Err(ServiceError::Remote { code: ErrorCode::Internal, detail }) => {
+            assert!(detail.contains("shutting down"), "detail names the refusal: {detail}");
+        }
+        Err(ServiceError::Closed | ServiceError::Io(_)) => {}
+        other => panic!("a write after the shutdown ack must not be applied, got {other:?}"),
+    }
+    assert_eq!(server.join(), acked, "join must report the acknowledged count");
+}
+
+/// Six connections write at once, so every batch contends for the core
+/// lock: tenant-0 batches, registry batches (each tenant fed by two
+/// connections), and on one connection `Digest` queries in between. Each
+/// apply adds to the accepted count under the lock, so acks rise on every
+/// connection and never repeat across them; the structures are exact, so
+/// any interleaving lands on the sequential digests.
+#[test]
+fn concurrent_writers_serialize_on_the_core_lock() {
+    const WRITERS: u64 = 6;
+    const BATCHES: usize = 12;
+    let server = RunningServer::bind_tcp("127.0.0.1:0", config()).expect("bind");
+    let addr = server.local_addr().expect("address");
+    let tenant_of = |writer: u64| 1 + writer % 3;
+    let streams: Vec<(Vec<Update>, Vec<Update>)> = (0..WRITERS)
+        .map(|w| (workload(BATCHES * 100, 20 + w), workload(BATCHES * 25, 40 + w)))
+        .collect();
+
+    let start = Arc::new(Barrier::new(WRITERS as usize));
+    let writers: Vec<_> = (0..WRITERS)
+        .zip(streams.clone())
+        .map(|(w, (catalog, tenant))| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = ServiceClient::connect_tcp(addr).expect("writer connect");
+                start.wait();
+                let mut acks = Vec::new();
+                for (i, (batch, tenant_batch)) in
+                    catalog.chunks(100).zip(tenant.chunks(25)).enumerate()
+                {
+                    acks.push(client.send_updates(0, batch).expect("catalog batch"));
+                    acks.push(
+                        client.send_updates(tenant_of(w), tenant_batch).expect("tenant batch"),
+                    );
+                    if w == 0 && i % 3 == 0 {
+                        client.digest(tags::COUNT_SKETCH).expect("digest between writes");
+                    }
+                }
+                acks
+            })
+        })
+        .collect();
+    let acks: Vec<Vec<u64>> =
+        writers.into_iter().map(|h| h.join().expect("writer thread")).collect();
+
+    for (w, acks) in acks.iter().enumerate() {
+        assert!(acks.windows(2).all(|p| p[0] < p[1]), "writer {w}: acks must rise: {acks:?}");
+    }
+    let mut all: Vec<u64> = acks.concat();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all.len(), WRITERS as usize * BATCHES * 2, "two applies acked the same count");
+
+    let mut reference = CatalogPrototypes::standard(DIM, SEED);
+    let mut tenants = vec![reference.tenant_proto.clone(); 3];
+    for (w, (catalog, tenant)) in (0..WRITERS).zip(&streams) {
+        reference.sparse_recovery.ingest_batch(catalog);
+        reference.l0_sampler.ingest_batch(catalog);
+        reference.fis_l0.ingest_batch(catalog);
+        reference.count_sketch.ingest_batch(catalog);
+        reference.count_min.ingest_batch(catalog);
+        reference.count_median.ingest_batch(catalog);
+        reference.ams.ingest_batch(catalog);
+        tenants[(tenant_of(w) - 1) as usize].ingest_batch(tenant);
+    }
+    let expected = [
+        (tags::SPARSE_RECOVERY, reference.sparse_recovery.state_digest()),
+        (tags::L0_SAMPLER, reference.l0_sampler.state_digest()),
+        (tags::FIS_L0_SAMPLER, reference.fis_l0.state_digest()),
+        (tags::COUNT_SKETCH, reference.count_sketch.state_digest()),
+        (tags::COUNT_MIN, reference.count_min.state_digest()),
+        (tags::COUNT_MEDIAN, reference.count_median.state_digest()),
+        (tags::AMS, reference.ams.state_digest()),
+    ];
+    assert_eq!(expected.len(), CATALOG_STRUCTURES.len());
+    let mut client = ServiceClient::connect_tcp(addr).expect("connect");
+    for (tag, digest) in expected {
+        assert_eq!(client.digest(tag).expect("digest"), digest, "structure {tag:#06x} diverged");
+    }
+    for (t, tenant) in tenants.iter().enumerate() {
+        assert_eq!(
+            client.tenant_digest(t as u64 + 1).expect("tenant digest"),
+            Some(tenant.state_digest()),
+            "tenant {} diverged",
+            t + 1
+        );
+    }
+
+    let total = streams.iter().map(|(c, t)| (c.len() + t.len()) as u64).sum::<u64>();
+    assert_eq!(all.last().copied(), Some(total));
+    assert_eq!(client.shutdown().expect("shutdown ack"), total);
+    assert_eq!(server.join(), total);
 }
 
 /// A catalog over more coordinates than the field has elements would hand
