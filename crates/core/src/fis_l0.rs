@@ -107,6 +107,38 @@ impl FisL0Sampler {
             }
         }
     }
+
+    /// Apply already-coalesced `(index, delta)` entries (distinct indices,
+    /// as [`lps_stream::coalesce_updates`] returns them): compute each
+    /// entry's fingerprint term once (lane-parallel, via
+    /// [`lps_sketch::fingerprint_terms`]), then walk the slot table
+    /// level-major. Each hashed slot runs one
+    /// [`TabulationHash::hash_many`] over the batch's indices, which looks
+    /// up only the low index bytes the batch uses (2 of 8 below a dimension
+    /// of `2^16`), and applies the included entries in batch order — each
+    /// cell sees the same updates in the same order as the sequential walk.
+    pub fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        if entries.is_empty() {
+            return;
+        }
+        let terms: Vec<Fp> = fingerprint_terms(entries, &self.pow);
+        let indices: Vec<u64> = entries.iter().map(|&(index, _)| index).collect();
+        debug_assert!(indices.iter().all(|&index| index < self.dimension));
+        let mut hashes = vec![0u64; indices.len()];
+        let repetitions = self.repetitions;
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            let level = s / repetitions;
+            // only levels whose rule reads the hash pay for hashing
+            if level > 0 && level < 64 {
+                slot.inclusion.hash_many(&indices, &mut hashes);
+            }
+            for ((&(index, delta), &term), &hash) in entries.iter().zip(&terms).zip(&hashes) {
+                if included(level, || hash) {
+                    slot.cell.apply(index, delta, term);
+                }
+            }
+        }
+    }
 }
 
 impl LpSampler for FisL0Sampler {
@@ -130,36 +162,10 @@ impl LpSampler for FisL0Sampler {
         }
     }
 
-    /// Batched fast path: coalesce the batch, compute each entry's
-    /// fingerprint term once (lane-parallel, via
-    /// [`lps_sketch::fingerprint_terms`]), then walk the slot table
-    /// level-major. Each hashed slot runs one
-    /// [`TabulationHash::hash_many`] over the batch's indices, which looks
-    /// up only the low index bytes the batch uses (2 of 8 below a dimension
-    /// of `2^16`), and applies the included entries in batch order — each
-    /// cell sees the same updates in the same order as the sequential walk.
+    /// Batched fast path: coalesce the batch, then
+    /// [`FisL0Sampler::apply_coalesced`].
     fn process_batch(&mut self, updates: &[Update]) {
-        let coalesced = lps_stream::coalesce_updates(updates);
-        if coalesced.is_empty() {
-            return;
-        }
-        let terms: Vec<Fp> = fingerprint_terms(&coalesced, &self.pow);
-        let indices: Vec<u64> = coalesced.iter().map(|&(index, _)| index).collect();
-        debug_assert!(indices.iter().all(|&index| index < self.dimension));
-        let mut hashes = vec![0u64; indices.len()];
-        let repetitions = self.repetitions;
-        for (s, slot) in self.slots.iter_mut().enumerate() {
-            let level = s / repetitions;
-            // only levels whose rule reads the hash pay for hashing
-            if level > 0 && level < 64 {
-                slot.inclusion.hash_many(&indices, &mut hashes);
-            }
-            for ((&(index, delta), &term), &hash) in coalesced.iter().zip(&terms).zip(&hashes) {
-                if included(level, || hash) {
-                    slot.cell.apply(index, delta, term);
-                }
-            }
-        }
+        self.apply_coalesced(&lps_stream::coalesce_updates(updates));
     }
 
     fn sample(&self) -> Option<Sample> {

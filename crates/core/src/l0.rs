@@ -262,6 +262,51 @@ impl L0Sampler {
             a.recovery.merge_disjoint(&b.recovery);
         }
     }
+
+    /// Apply already-coalesced `(index, delta)` entries (distinct indices,
+    /// as [`lps_stream::coalesce_updates`] returns them): evaluate the shared
+    /// membership hash once per distinct index, and feed every level's
+    /// recovery structure its surviving entries through the row-major
+    /// coalesced path (fingerprint term computed once per entry per level
+    /// instead of once per cell). Because the levels are nested, the
+    /// entries surviving at level `k` are a prefix-filtered subset reusable
+    /// across levels.
+    pub fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        if entries.is_empty() {
+            return;
+        }
+        // lane-parallel membership evaluation: batch-hash every distinct
+        // index, then apply the same multiply-shift slot mapping as
+        // `membership_slot` — identical values, LANES keys at a time
+        let keys: Vec<u64> = entries
+            .iter()
+            .map(|&(index, _)| {
+                debug_assert!(index < self.dimension);
+                index
+            })
+            .collect();
+        let mut hashes = vec![0u64; keys.len()];
+        self.membership.hash_keys(&keys, &mut hashes);
+        let slots: Vec<u64> =
+            hashes.iter().map(|&h| ((h as u128 * self.dimension as u128) >> 61) as u64).collect();
+        let mut surviving: Vec<(u64, i64)> = Vec::with_capacity(entries.len());
+        for k in 0..self.levels.len() {
+            let threshold = self.levels[k].threshold;
+            if threshold >= self.dimension {
+                self.levels[k].recovery.apply_coalesced(entries);
+                continue;
+            }
+            surviving.clear();
+            surviving.extend(
+                entries
+                    .iter()
+                    .zip(slots.iter())
+                    .filter(|&(_, &slot)| slot < threshold)
+                    .map(|(&entry, _)| entry),
+            );
+            self.levels[k].recovery.apply_coalesced(&surviving);
+        }
+    }
 }
 
 impl Mergeable for L0Sampler {
@@ -371,49 +416,10 @@ impl LpSampler for L0Sampler {
         }
     }
 
-    /// Batched fast path: coalesce the batch once, evaluate the shared
-    /// membership hash once per distinct index, and feed every level's
-    /// recovery structure its surviving entries through the row-major
-    /// coalesced path (fingerprint term computed once per entry per level
-    /// instead of once per cell). Because the levels are nested, the
-    /// entries surviving at level `k` are a prefix-filtered subset reusable
-    /// across levels.
+    /// Batched fast path: coalesce the batch once, then
+    /// [`L0Sampler::apply_coalesced`].
     fn process_batch(&mut self, updates: &[Update]) {
-        let coalesced = lps_stream::coalesce_updates(updates);
-        if coalesced.is_empty() {
-            return;
-        }
-        // lane-parallel membership evaluation: batch-hash every distinct
-        // index, then apply the same multiply-shift slot mapping as
-        // `membership_slot` — identical values, LANES keys at a time
-        let keys: Vec<u64> = coalesced
-            .iter()
-            .map(|&(index, _)| {
-                debug_assert!(index < self.dimension);
-                index
-            })
-            .collect();
-        let mut hashes = vec![0u64; keys.len()];
-        self.membership.hash_keys(&keys, &mut hashes);
-        let slots: Vec<u64> =
-            hashes.iter().map(|&h| ((h as u128 * self.dimension as u128) >> 61) as u64).collect();
-        let mut surviving: Vec<(u64, i64)> = Vec::with_capacity(coalesced.len());
-        for k in 0..self.levels.len() {
-            let threshold = self.levels[k].threshold;
-            if threshold >= self.dimension {
-                self.levels[k].recovery.apply_coalesced(&coalesced);
-                continue;
-            }
-            surviving.clear();
-            surviving.extend(
-                coalesced
-                    .iter()
-                    .zip(slots.iter())
-                    .filter(|&(_, &slot)| slot < threshold)
-                    .map(|(&entry, _)| entry),
-            );
-            self.levels[k].recovery.apply_coalesced(&surviving);
-        }
+        self.apply_coalesced(&lps_stream::coalesce_updates(updates));
     }
 
     fn sample(&self) -> Option<Sample> {

@@ -9,8 +9,9 @@
 //! two parties constructing the catalog from the same `(dimension, seed)`
 //! pair hold bit-identical structures.
 //!
-//! [`ServeQuery`] is the query-answering capability a catalog structure
-//! adds on top of the engine's `ShardIngest` + `Persist`: samplers answer
+//! [`ServeQuery`] is what a catalog structure adds on top of the engine's
+//! `ShardIngest` + `Persist`: an entry point for batches the service has
+//! already coalesced, and query answering. Samplers answer
 //! [`Query::Sample`], counter sketches answer [`Query::PointEstimate`],
 //! sparse recovery answers [`Query::Duplicates`], and everything answers
 //! [`Query::Digest`] (the default implementation). Unsupported kinds come
@@ -53,6 +54,12 @@ pub trait ServeQuery: ShardIngest + Persist + Send + Sync + 'static {
     /// Catalog name, used in error details and logs.
     const NAME: &'static str;
 
+    /// Apply a batch already coalesced by `lps_stream::coalesce_updates`
+    /// (distinct indices, non-zero deltas): the structure's `process_batch`
+    /// after its own coalescing step, so the catalog's one coalesced batch
+    /// feeds every structure bit-identically to `ingest_batch`.
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]);
+
     /// Answer `query` from this structure's current state.
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
@@ -79,6 +86,10 @@ fn unsupported(structure: &'static str, query: &Query) -> ServiceError {
 impl ServeQuery for SparseRecovery {
     const NAME: &'static str = "sparse_recovery";
 
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        SparseRecovery::apply_coalesced(self, entries);
+    }
+
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::Duplicates { .. } => match self.recover() {
@@ -99,6 +110,10 @@ impl ServeQuery for SparseRecovery {
 impl ServeQuery for L0Sampler {
     const NAME: &'static str = "l0_sampler";
 
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        L0Sampler::apply_coalesced(self, entries);
+    }
+
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::Sample { .. } => {
@@ -112,6 +127,10 @@ impl ServeQuery for L0Sampler {
 
 impl ServeQuery for FisL0Sampler {
     const NAME: &'static str = "fis_l0";
+
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        FisL0Sampler::apply_coalesced(self, entries);
+    }
 
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
@@ -127,6 +146,10 @@ impl ServeQuery for FisL0Sampler {
 impl ServeQuery for CountSketch {
     const NAME: &'static str = "count_sketch";
 
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        CountSketch::apply_coalesced(self, entries);
+    }
+
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::PointEstimate { index, .. } => {
@@ -140,6 +163,10 @@ impl ServeQuery for CountSketch {
 
 impl ServeQuery for CountMinSketch {
     const NAME: &'static str = "count_min";
+
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        CountMinSketch::apply_coalesced(self, entries);
+    }
 
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
@@ -155,6 +182,10 @@ impl ServeQuery for CountMinSketch {
 impl ServeQuery for CountMedianSketch {
     const NAME: &'static str = "count_median";
 
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        CountMedianSketch::apply_coalesced(self, entries);
+    }
+
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::PointEstimate { index, .. } => {
@@ -168,6 +199,10 @@ impl ServeQuery for CountMedianSketch {
 
 impl ServeQuery for AmsSketch {
     const NAME: &'static str = "ams";
+
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        AmsSketch::apply_coalesced(self, entries);
+    }
 }
 
 /// The identically-seeded structures a standard service hosts, plus the

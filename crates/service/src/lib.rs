@@ -10,7 +10,8 @@
 //!   `persist::DecodeError`: no input panics, every malformed byte stream
 //!   maps to a [`ProtoError`].
 //! * [`merge`] — the **merge service**: a catalog of exact-arithmetic
-//!   structures driven through sans-io `IngestSession`s plus a multi-tenant
+//!   structures fed by one dispatcher (each batch coalesced once and shared
+//!   by `Arc` with a worker pool sized to the host) plus a multi-tenant
 //!   `SketchRegistry`, absorbing shard [`Frame::CheckpointUpload`]s
 //!   (validated against the service plan — a mismatched envelope is a
 //!   protocol [`Frame::Error`], not a disconnect) and publishing periodic

@@ -11,7 +11,7 @@
 //!   brief map lock. Reads never touch the ingest path, never wait on it,
 //!   and are stale by at most one publish interval
 //!   ([`ServiceConfig::publish_interval`] accepted updates) plus whatever
-//!   is in flight inside the ingest sessions.
+//!   is staged or queued for the catalog's workers.
 //! * **Digest queries** (structure or tenant) are applied under the core
 //!   lock like writes, forcing a fresh publish first — so they are
 //!   linearized with ingestion: a digest answered after the service
@@ -20,28 +20,45 @@
 //!
 //! ## Publishing without pausing ingestion
 //!
-//! A publish is an in-memory [`IngestSession::snapshot`]: each worker of
-//! the live session answers a snapshot request, queued behind its batches,
-//! with a clone of its shard; the clones merge under the session's plan,
-//! then absorbed shard uploads merge in. Nothing is serialized and no
-//! worker restarts — the catalog structures are linear sketches, so the
-//! in-memory merge is already bit-exact and the published digest equals
-//! sequential ingestion of everything the service has accepted, however
-//! it arrived (streamed batches, shard uploads, or both). Bytes are only
-//! for crossing a process boundary: uploads and [`merge_checkpointed`].
+//! Every catalog structure is a linear sketch of the frequency vector, so
+//! one coalesced `(index, Δ)` list is a correct input for all of them. The
+//! core's one dispatcher stages each tenant-0 update once, seals a batch
+//! every [`ServiceConfig::batch_size`] updates, runs `coalesce_updates` on
+//! it once, and sends the result as one `Arc` to a worker pool sized to the
+//! host: `min(available_parallelism, 7 × shards)` workers, each owning a
+//! fixed share of the catalog's (structure, replica) units, placed
+//! longest-first by per-update cost. Replica `r` of a structure takes
+//! sealed batches `r, r + shards, …`.
+//!
+//! A publish sends one snapshot request per worker, queued behind its
+//! batches, and each worker answers with clones of its units. Per
+//! structure, the replica clones merge, absorbed shard uploads merge in,
+//! and the snapshot `Arc` swaps. Nothing is serialized and no worker
+//! restarts — the catalog structures are linear sketches, so the in-memory
+//! merge is already bit-exact and the published digest equals sequential
+//! ingestion of everything the service has accepted, however it arrived
+//! (streamed batches, shard uploads, or both). Bytes are only for crossing
+//! a process boundary: uploads and [`merge_checkpointed`]. The publish
+//! interval, `Digest`, `CheckpointUpload` and `Shutdown` all take this one
+//! path, and each refreshes all seven snapshots.
+//!
+//! A worker that panics loses **all** of its units: the publish that finds
+//! it returns `Engine(WorkerPanicked)`, and the worker is respawned with
+//! zero-state clones of its units, so the service keeps serving.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::task::Poll;
+use std::thread::JoinHandle;
 
-use lps_engine::{
-    merge_checkpointed, read_envelope, EngineBuilder, IngestSession, PlanStrategy, RoundRobin,
-    Tolerance,
-};
+use lps_engine::{merge_checkpointed, read_envelope, EngineError, PlanStrategy, Tolerance};
 use lps_registry::{MemorySpill, RegistryConfig, SketchRegistry};
 use lps_sketch::persist::read_header;
 use lps_sketch::{DecodeError, Mergeable};
-use lps_stream::Update;
+use lps_stream::{coalesce_updates, Update};
 
 use crate::catalog::{CatalogPrototypes, ServeQuery};
 use crate::proto::{Frame, Query, Reply};
@@ -64,9 +81,11 @@ pub struct ServiceConfig {
     /// Master seed the catalog prototypes are drawn from (clients must use
     /// the same seed to upload compatible checkpoints).
     pub seed: u64,
-    /// Worker shards per catalog structure's ingest session.
+    /// Replicas per catalog structure; the dispatcher deals sealed batches
+    /// to them in rotation. Read as at least 1.
     pub shards: usize,
-    /// Dispatch batch size of the ingest sessions.
+    /// Updates the catalog dispatcher stages before it seals, coalesces and
+    /// sends a batch. Read as at least 1.
     pub batch_size: usize,
     /// Accepted-update count between automatic snapshot publishes.
     pub publish_interval: u64,
@@ -79,10 +98,10 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A service over `[0, dimension)` seeded with `seed`; other knobs at
-    /// their defaults (1 shard per structure — the seven structures already
-    /// ingest in parallel, and a second replica only doubles memory and
-    /// threads — 1024-update dispatch batches, publish every 25 000
-    /// accepted updates, 1024 resident tenants).
+    /// their defaults (1 replica per structure — the catalog's workers
+    /// already split the seven structures between the host's cores, and a
+    /// second replica only doubles memory — 1024-update dispatch batches,
+    /// publish every 25 000 accepted updates, 1024 resident tenants).
     pub fn new(dimension: u64, seed: u64) -> Self {
         ServiceConfig {
             dimension,
@@ -95,15 +114,15 @@ impl ServiceConfig {
         }
     }
 
-    /// Set the worker shard count per structure.
+    /// Set the replica count per catalog structure (0 is taken as 1).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+        self.shards = shards.max(1);
         self
     }
 
-    /// Set the ingest sessions' dispatch batch size.
+    /// Set the catalog dispatcher's batch size (0 is taken as 1).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
+        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -127,13 +146,9 @@ impl ServiceConfig {
     }
 }
 
-/// One catalog structure's merge service: a live ingest session, the merge
-/// of completed shard-checkpoint uploads, and snapshot publication.
+/// One catalog structure's merge service: the merge of completed
+/// shard-checkpoint uploads, folded into every publish of the structure.
 pub struct MergeService<T: ServeQuery> {
-    proto: T,
-    shards: usize,
-    batch_size: usize,
-    session: IngestSession<T, RoundRobin>,
     /// Merged state of every *completed* upload set.
     absorbed: Option<T>,
     /// Incomplete upload sets, keyed by their envelope shard count; a slot
@@ -141,23 +156,13 @@ pub struct MergeService<T: ServeQuery> {
     pending: HashMap<usize, Vec<Option<Vec<u8>>>>,
 }
 
+impl<T: ServeQuery> Default for MergeService<T> {
+    fn default() -> Self {
+        MergeService { absorbed: None, pending: HashMap::new() }
+    }
+}
+
 impl<T: ServeQuery> MergeService<T> {
-    /// A merge service for `proto`'s structure with a round-robin live
-    /// session of `shards` workers.
-    pub fn new(proto: T, shards: usize, batch_size: usize) -> Self {
-        let session = EngineBuilder::new(&proto).shards(shards).batch_size(batch_size).session();
-        MergeService { proto, shards, batch_size, session, absorbed: None, pending: HashMap::new() }
-    }
-
-    /// Route a run of updates into the live session. Under backpressure
-    /// the calling connection thread parks, holding the core lock, on the
-    /// full channel of the worker its next batch goes to: blocking here is
-    /// the intended backpressure point, and parking leaves the cores to the
-    /// workers it waits on.
-    pub fn ingest(&mut self, updates: &[Update]) {
-        self.session.ingest_blocking(updates);
-    }
-
     /// Accept one shard's enveloped checkpoint buffer. The envelope is
     /// validated against this service's plan *before* anything decodes: a
     /// key-range or approximate-tolerance checkpoint is rejected with
@@ -215,33 +220,6 @@ impl<T: ServeQuery> MergeService<T> {
         }
         Ok(())
     }
-
-    /// Publish the current merged state: an in-memory
-    /// [`IngestSession::snapshot`] of the live session (which keeps
-    /// ingesting on the same workers) ⊕ the absorbed uploads. Bit-exact for
-    /// the catalog structures.
-    ///
-    /// If the snapshot fails (a worker panicked), the panicked shard's
-    /// state is lost: a **fresh** live session replaces the dead one so
-    /// the service keeps serving, and the error propagates to the caller.
-    pub fn publish(&mut self) -> Result<T, ServiceError> {
-        let mut snapshot = match self.session.snapshot() {
-            Ok(snapshot) => snapshot,
-            Err(e) => {
-                let fresh = EngineBuilder::new(&self.proto)
-                    .shards(self.shards)
-                    .batch_size(self.batch_size)
-                    .session();
-                // join the broken session's workers; its error is `e` again
-                let _ = std::mem::replace(&mut self.session, fresh).seal();
-                return Err(e.into());
-            }
-        };
-        if let Some(absorbed) = &self.absorbed {
-            snapshot.merge_from(absorbed);
-        }
-        Ok(snapshot)
-    }
 }
 
 /// Object-safe query surface of a published snapshot.
@@ -266,8 +244,8 @@ struct SnapshotStore {
 /// A cloneable, lock-light read handle over the published snapshots: the
 /// surface connection threads answer live queries from. `serve` takes the
 /// store lock only long enough to clone one `Arc` — never the core lock, so
-/// it contends with ingestion only for the moment a publish swaps an `Arc`
-/// in.
+/// it contends with ingestion only for the moment a publish swaps the
+/// `Arc`s in.
 #[derive(Clone)]
 pub struct SnapshotHandle {
     store: Arc<SnapshotStore>,
@@ -307,12 +285,10 @@ impl SnapshotHandle {
 trait Slot: Send {
     fn tag(&self) -> u16;
     fn name(&self) -> &'static str;
-    fn ingest(&mut self, updates: &[Update]);
     fn upload(&mut self, buffer: Vec<u8>) -> Result<(), ServiceError>;
-    /// Publish and return the fresh snapshot as a query object.
-    fn publish(&mut self) -> Result<Arc<dyn SnapshotQuery>, ServiceError>;
-    /// The prototype's zero state, for the initial snapshot.
-    fn empty_snapshot(&self) -> Arc<dyn SnapshotQuery>;
+    /// Merge one publish's replica clones (from [`Unit::clone_state`]) and
+    /// the absorbed uploads into the snapshot to serve.
+    fn publish(&self, replicas: Vec<Box<dyn Any + Send>>) -> Arc<dyn SnapshotQuery>;
 }
 
 impl<T: ServeQuery> Slot for MergeService<T> {
@@ -324,29 +300,265 @@ impl<T: ServeQuery> Slot for MergeService<T> {
         T::NAME
     }
 
-    fn ingest(&mut self, updates: &[Update]) {
-        MergeService::ingest(self, updates);
-    }
-
     fn upload(&mut self, buffer: Vec<u8>) -> Result<(), ServiceError> {
         MergeService::upload(self, buffer)
     }
 
-    fn publish(&mut self) -> Result<Arc<dyn SnapshotQuery>, ServiceError> {
-        Ok(Arc::new(MergeService::publish(self)?))
-    }
-
-    fn empty_snapshot(&self) -> Arc<dyn SnapshotQuery> {
-        Arc::new(self.proto.clone())
+    fn publish(&self, replicas: Vec<Box<dyn Any + Send>>) -> Arc<dyn SnapshotQuery> {
+        let mut replicas = replicas
+            .into_iter()
+            .map(|state| state.downcast::<T>().expect("a catalog unit clones its own structure"));
+        let mut snapshot = *replicas.next().expect("every structure has a replica");
+        for replica in replicas {
+            snapshot.merge_from(&replica);
+        }
+        if let Some(absorbed) = &self.absorbed {
+            snapshot.merge_from(absorbed);
+        }
+        Arc::new(snapshot)
     }
 }
 
-/// The single-threaded heart of the server: the catalog's merge services
-/// plus the multi-tenant registry, applied to frames in arrival order by
-/// the connection threads, one at a time under one mutex. Everything here
-/// is sans-io — the socket layer lives in [`crate::server`].
+/// One (structure, replica) state a dispatcher worker owns.
+trait Unit: Send {
+    /// Apply one coalesced batch.
+    fn apply(&mut self, entries: &[(u64, i64)]);
+    /// A clone of the state, for a publish to merge.
+    fn clone_state(&self) -> Box<dyn Any + Send>;
+    /// A clone as a unit: how workers are (re)spawned from the prototypes.
+    fn boxed_clone(&self) -> Box<dyn Unit>;
+}
+
+impl<T: ServeQuery> Unit for T {
+    fn apply(&mut self, entries: &[(u64, i64)]) {
+        ServeQuery::apply_coalesced(self, entries);
+    }
+
+    fn clone_state(&self) -> Box<dyn Any + Send> {
+        Box::new(self.clone())
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Unit> {
+        Box::new(self.clone())
+    }
+}
+
+/// Per-update cost of each catalog structure in ns, in
+/// [`crate::CATALOG_STRUCTURES`] order: the traced
+/// `sketch.*.ns_per_update` of perfbench's `ingest_churn` workload at
+/// commit `8f6970b` (seed 1, 2-vCPU host). Only the ratios matter: they
+/// place the units.
+const CATALOG_COST_NS: [f64; 7] = [113.0, 263.0, 777.0, 427.0, 68.0, 71.0, 389.0];
+
+/// How many sealed batches may wait unprocessed in each worker's channel
+/// before the dispatcher parks, as in the engine's ingest session.
+const WORKER_BACKLOG: usize = 10;
+
+/// Place the `costs.len() × replicas` (structure, replica) units on
+/// `min(workers, units)` workers, longest first: each unit, costliest
+/// first, goes to the least-loaded worker (ties to the lowest index). A
+/// unit costs its structure's cost ÷ `replicas`. Returns each worker's
+/// units.
+fn place(costs: &[f64], replicas: usize, workers: usize) -> Vec<Vec<(usize, usize)>> {
+    let mut units: Vec<(usize, usize)> =
+        (0..costs.len()).flat_map(|s| (0..replicas).map(move |r| (s, r))).collect();
+    // stable: equal costs keep (structure, replica) order
+    units.sort_by(|a, b| costs[b.0].total_cmp(&costs[a.0]));
+    let workers = workers.min(units.len()).max(1);
+    let mut placed = vec![Vec::new(); workers];
+    let mut load = vec![0.0f64; workers];
+    for unit in units {
+        let w = (0..workers).min_by(|&a, &b| load[a].total_cmp(&load[b])).expect("a worker");
+        load[w] += costs[unit.0] / replicas as f64;
+        placed[w].push(unit);
+    }
+    placed
+}
+
+/// What travels down a dispatcher worker's channel.
+enum Message {
+    /// A sealed, coalesced batch for every unit of replica `replica`.
+    Batch { replica: usize, entries: Arc<[(u64, i64)]> },
+    /// A request for clones of the worker's units, in its placement order,
+    /// as of every batch queued before it.
+    Snapshot(SyncSender<Vec<Box<dyn Any + Send>>>),
+}
+
+/// One pool thread of the dispatcher.
+struct Worker {
+    /// The (structure, replica) units this worker owns.
+    units: Vec<(usize, usize)>,
+    sender: SyncSender<Message>,
+    handle: JoinHandle<()>,
+}
+
+impl Worker {
+    /// Spawn a worker owning zero-state clones of `units`' prototypes.
+    fn spawn(units: Vec<(usize, usize)>, protos: &[Box<dyn Unit>]) -> Self {
+        let mut states: Vec<(usize, Box<dyn Unit>)> =
+            units.iter().map(|&(s, r)| (r, protos[s].boxed_clone())).collect();
+        let (sender, receiver) = sync_channel::<Message>(WORKER_BACKLOG);
+        let handle = std::thread::spawn(move || {
+            while let Ok(message) = receiver.recv() {
+                match message {
+                    Message::Batch { replica, entries } => {
+                        for (_, unit) in states.iter_mut().filter(|(r, _)| *r == replica) {
+                            unit.apply(&entries);
+                        }
+                    }
+                    // a requester that gave up is not an error
+                    Message::Snapshot(reply) => {
+                        drop(reply.send(states.iter().map(|(_, u)| u.clone_state()).collect()))
+                    }
+                }
+            }
+        });
+        Worker { units, sender, handle }
+    }
+}
+
+/// The tenant-0 catalog's ingest path: one staging buffer, one
+/// `coalesce_updates` per sealed batch, and one `Arc` of the result sent to
+/// each worker that owns a unit of the batch's replica.
+struct Dispatcher {
+    /// Zero-state prototype of each structure, for (re)spawning workers.
+    protos: Vec<Box<dyn Unit>>,
+    replicas: usize,
+    batch_size: usize,
+    staging: Vec<Update>,
+    /// Batches sealed so far: batch `i` goes to replica `i % replicas`.
+    sealed: u64,
+    workers: Vec<Worker>,
+}
+
+impl Dispatcher {
+    /// Spawn the workers for `replicas` replicas of each prototype, placed
+    /// by `costs` on at most `workers` threads.
+    fn new(
+        protos: Vec<Box<dyn Unit>>,
+        costs: &[f64],
+        replicas: usize,
+        batch_size: usize,
+        workers: usize,
+    ) -> Self {
+        let workers = place(costs, replicas, workers)
+            .into_iter()
+            .map(|units| Worker::spawn(units, &protos))
+            .collect();
+        Dispatcher {
+            protos,
+            replicas,
+            batch_size,
+            staging: Vec::with_capacity(batch_size),
+            sealed: 0,
+            workers,
+        }
+    }
+
+    /// Stage `updates` (copied once), sealing every full batch. Parks on a
+    /// full worker channel: the backpressure point, which leaves the cores
+    /// to the workers it waits on.
+    fn ingest(&mut self, mut updates: &[Update]) {
+        while !updates.is_empty() {
+            let take = (self.batch_size - self.staging.len()).min(updates.len());
+            self.staging.extend_from_slice(&updates[..take]);
+            updates = &updates[take..];
+            if self.staging.len() == self.batch_size {
+                self.seal();
+            }
+        }
+    }
+
+    /// Coalesce the staged updates once and send the batch to every worker
+    /// owning a unit of its replica. A send to a panicked worker fails at
+    /// once; its state is already lost, and the next publish reports it.
+    fn seal(&mut self) {
+        if self.staging.is_empty() {
+            return;
+        }
+        let entries: Arc<[(u64, i64)]> = coalesce_updates(&self.staging).into();
+        self.staging.clear();
+        let replica = (self.sealed % self.replicas as u64) as usize;
+        self.sealed += 1;
+        for worker in self.workers.iter().filter(|w| w.units.iter().any(|&(_, r)| r == replica)) {
+            let _ = worker.sender.send(Message::Batch { replica, entries: Arc::clone(&entries) });
+        }
+    }
+
+    /// Seal the staged updates, then collect a clone of every unit,
+    /// grouped by structure (the replicas of a structure merge exactly, in
+    /// any order). A panicked worker fails the call with
+    /// `Engine(WorkerPanicked)` (lowest worker index) and is respawned with
+    /// zero-state units.
+    fn snapshot(&mut self) -> Result<Vec<Vec<Box<dyn Any + Send>>>, ServiceError> {
+        self.seal();
+        // request every worker's clones before awaiting any, so they copy
+        // in parallel
+        let replies: Vec<_> = self
+            .workers
+            .iter()
+            .map(|w| {
+                let (reply, clones) = sync_channel(1);
+                w.sender.send(Message::Snapshot(reply)).ok().map(|()| clones)
+            })
+            .collect();
+        let mut states: Vec<Vec<Box<dyn Any + Send>>> =
+            std::iter::repeat_with(Vec::new).take(self.protos.len()).collect();
+        let mut panicked = None;
+        for (w, clones) in replies.into_iter().enumerate() {
+            // a worker that panics drops its queued request, and with it
+            // the reply sender, so `recv` fails instead of hanging
+            match clones.and_then(|c| c.recv().ok()) {
+                Some(clones) => {
+                    for (&(s, _), clone) in self.workers[w].units.iter().zip(clones) {
+                        states[s].push(clone);
+                    }
+                }
+                None => {
+                    panicked.get_or_insert(w);
+                    self.respawn(w);
+                }
+            }
+        }
+        match panicked {
+            Some(shard) => Err(EngineError::WorkerPanicked { shard }.into()),
+            None => Ok(states),
+        }
+    }
+
+    /// Replace dead worker `w` with a fresh one owning the same units.
+    fn respawn(&mut self, w: usize) {
+        let fresh = Worker::spawn(self.workers[w].units.clone(), &self.protos);
+        let dead = std::mem::replace(&mut self.workers[w], fresh);
+        drop(dead.sender);
+        // its panic is what `snapshot` reports
+        let _ = dead.handle.join();
+    }
+}
+
+impl Drop for Dispatcher {
+    /// Close every channel, then join the workers once they have drained
+    /// their queued batches.
+    fn drop(&mut self) {
+        let (senders, handles): (Vec<_>, Vec<_>) =
+            self.workers.drain(..).map(|w| (w.sender, w.handle)).unzip();
+        drop(senders);
+        for handle in handles {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The single-threaded heart of the server: the catalog's dispatcher and
+/// merge services plus the multi-tenant registry, applied to frames in
+/// arrival order by the connection threads, one at a time under one mutex.
+/// Everything here is sans-io — the socket layer lives in
+/// [`crate::server`].
 pub struct ServiceCore {
+    /// One per catalog structure, in [`crate::CATALOG_STRUCTURES`] order —
+    /// the dispatcher's structure indices.
     slots: Vec<Box<dyn Slot>>,
+    dispatcher: Dispatcher,
     registry: SketchRegistry<lps_sketch::CountMinSketch, MemorySpill>,
     snapshots: Arc<SnapshotStore>,
     /// Every structure's coordinate space is `[0, dimension)`.
@@ -357,47 +569,52 @@ pub struct ServiceCore {
 }
 
 impl ServiceCore {
-    /// Build the standard catalog (see [`CatalogPrototypes::standard`])
-    /// and the tenant registry from `config`, with every structure's
-    /// initial snapshot published (the zero state), so queries are
-    /// answerable before the first update arrives. Panics on a dimension
-    /// the catalog refuses (0, or above `2^61 − 1`).
+    /// Build the standard catalog (see [`CatalogPrototypes::standard`]),
+    /// its dispatcher, and the tenant registry from `config`, with every
+    /// structure's initial snapshot published (the zero state), so queries
+    /// are answerable before the first update arrives. Panics on a
+    /// dimension the catalog refuses (0, or above `2^61 − 1`).
     pub fn new(config: &ServiceConfig) -> Self {
         let protos = CatalogPrototypes::standard(config.dimension, config.seed);
-        let (shards, batch) = (config.shards, config.batch_size);
-        fn slot<T: ServeQuery>(proto: T, shards: usize, batch: usize) -> Box<dyn Slot> {
-            Box::new(MergeService::new(proto, shards, batch))
+        fn slot<T: ServeQuery>(proto: T) -> (Box<dyn Slot>, Box<dyn Unit>) {
+            (Box::new(MergeService::<T>::default()), Box::new(proto))
         }
-        let slots: Vec<Box<dyn Slot>> = vec![
-            slot(protos.sparse_recovery, shards, batch),
-            slot(protos.l0_sampler, shards, batch),
-            slot(protos.fis_l0, shards, batch),
-            slot(protos.count_sketch, shards, batch),
-            slot(protos.count_min, shards, batch),
-            slot(protos.count_median, shards, batch),
-            slot(protos.ams, shards, batch),
-        ];
+        let (slots, units): (Vec<_>, Vec<_>) = [
+            slot(protos.sparse_recovery),
+            slot(protos.l0_sampler),
+            slot(protos.fis_l0),
+            slot(protos.count_sketch),
+            slot(protos.count_min),
+            slot(protos.count_median),
+            slot(protos.ams),
+        ]
+        .into_iter()
+        .unzip();
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let dispatcher = Dispatcher::new(
+            units,
+            &CATALOG_COST_NS,
+            config.shards.max(1),
+            config.batch_size.max(1),
+            workers,
+        );
         let registry = SketchRegistry::new(
             protos.tenant_proto,
             RegistryConfig::new().max_resident(config.max_resident),
             MemorySpill::new(),
         );
-        let snapshots = Arc::new(SnapshotStore::default());
-        {
-            let mut map = snapshots.map.lock().expect("snapshot map lock");
-            for s in &slots {
-                map.insert(s.tag(), s.empty_snapshot());
-            }
-        }
-        ServiceCore {
+        let mut core = ServiceCore {
             slots,
+            dispatcher,
             registry,
-            snapshots,
+            snapshots: Arc::new(SnapshotStore::default()),
             dimension: config.dimension,
             accepted: 0,
             since_publish: 0,
             publish_interval: config.publish_interval.max(1),
-        }
+        };
+        core.publish_all().expect("fresh workers hold zero states and answer");
+        core
     }
 
     /// The read handle connection threads answer live queries from.
@@ -430,9 +647,7 @@ impl ServiceCore {
                 }))
             }
             Frame::UpdateBatch { tenant: 0, updates } => {
-                for slot in &mut self.slots {
-                    slot.ingest(&updates);
-                }
+                self.dispatcher.ingest(&updates);
                 self.accepted += updates.len() as u64;
                 self.since_publish += updates.len() as u64;
                 if self.since_publish >= self.publish_interval {
@@ -455,28 +670,22 @@ impl ServiceCore {
             Frame::CheckpointUpload { buffer } => {
                 let (_, payload) = read_envelope(&buffer)?;
                 let tag = read_header(payload)?.tag;
-                let slot = self
-                    .slots
+                self.slots
                     .iter_mut()
                     .find(|s| s.tag() == tag)
-                    .ok_or(ServiceError::UnknownStructure { tag })?;
-                slot.upload(buffer)?;
+                    .ok_or(ServiceError::UnknownStructure { tag })?
+                    .upload(buffer)?;
                 // Fold the (possibly completed) upload set into the
                 // published snapshot right away, so live queries see it.
-                let snapshot = slot.publish()?;
-                self.snapshots.map.lock().expect("snapshot map lock").insert(tag, snapshot);
+                self.publish_all()?;
                 Ok(Frame::Reply(Reply::Ack { accepted: self.accepted }))
             }
-            Frame::Query(Query::Digest { structure }) => {
-                let slot = self
-                    .slots
-                    .iter_mut()
-                    .find(|s| s.tag() == structure)
-                    .ok_or(ServiceError::UnknownStructure { tag: structure })?;
-                let snapshot = slot.publish()?;
-                let reply = snapshot.serve(&Query::Digest { structure })?;
-                self.snapshots.map.lock().expect("snapshot map lock").insert(structure, snapshot);
-                Ok(Frame::Reply(reply))
+            Frame::Query(query @ Query::Digest { structure }) => {
+                if self.structure_name(structure).is_none() {
+                    return Err(ServiceError::UnknownStructure { tag: structure });
+                }
+                self.publish_all()?;
+                Ok(Frame::Reply(self.snapshot_handle().serve(&query)?))
             }
             Frame::Query(Query::TenantDigest { tenant }) => {
                 // Materialized-view digest (not the lazy wrapper's
@@ -492,14 +701,20 @@ impl ServiceCore {
         }
     }
 
-    /// Publish every catalog structure's snapshot (called on the publish
-    /// interval and before shutdown).
+    /// Publish every catalog structure's snapshot: one snapshot request
+    /// per worker, then per structure the replica clones and the absorbed
+    /// uploads merge and the `Arc`s swap, all seven under one store lock.
+    /// Called on the publish interval, for digests and uploads, and before
+    /// shutdown.
     pub fn publish_all(&mut self) -> Result<(), ServiceError> {
-        for slot in &mut self.slots {
-            let tag = slot.tag();
-            let snapshot = slot.publish()?;
-            self.snapshots.map.lock().expect("snapshot map lock").insert(tag, snapshot);
-        }
+        let states = self.dispatcher.snapshot()?;
+        let fresh: Vec<(u16, Arc<dyn SnapshotQuery>)> = self
+            .slots
+            .iter()
+            .zip(states)
+            .map(|(slot, replicas)| (slot.tag(), slot.publish(replicas)))
+            .collect();
+        self.snapshots.map.lock().expect("snapshot map lock").extend(fresh);
         self.since_publish = 0;
         Ok(())
     }
@@ -507,5 +722,103 @@ impl ServiceCore {
     /// Name of the catalog structure with `tag`, if hosted.
     pub fn structure_name(&self, tag: u16) -> Option<&'static str> {
         self.slots.iter().find(|s| s.tag() == tag).map(|s| s.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn placement_puts_every_unit_once_within_one_unit_of_balance() {
+        for replicas in [1, 2] {
+            let cost = |&(s, _): &(usize, usize)| CATALOG_COST_NS[s] / replicas as f64;
+            let every: Vec<(usize, usize)> =
+                (0..7).flat_map(|s| (0..replicas).map(move |r| (s, r))).collect();
+            let total: f64 = every.iter().map(cost).sum();
+            let largest = every.iter().map(cost).fold(0.0, f64::max);
+            for requested in [1, 2, 3, 7, 8] {
+                let placed = place(&CATALOG_COST_NS, replicas, requested);
+                assert_eq!(placed.len(), requested.min(every.len()), "{requested} requested");
+                assert!(placed.iter().all(|w| !w.is_empty()), "an empty worker: {placed:?}");
+                let mut units = placed.concat();
+                units.sort_unstable();
+                assert_eq!(units, every, "each unit placed exactly once");
+                if placed.len() == every.len() {
+                    assert!(placed.iter().all(|w| w.len() == 1), "one unit per worker");
+                }
+                let heaviest =
+                    placed.iter().map(|w| w.iter().map(cost).sum::<f64>()).fold(0.0, f64::max);
+                assert!(heaviest <= total / placed.len() as f64 + largest, "{placed:?}");
+            }
+        }
+        // two workers, one replica: 1068 ns against the bound max(2108 / 2, 777)
+        let placed = place(&CATALOG_COST_NS, 1, 2);
+        let heaviest = placed
+            .iter()
+            .map(|w| w.iter().map(|&(s, _)| CATALOG_COST_NS[s]).sum::<f64>())
+            .fold(0.0, f64::max);
+        let total: f64 = CATALOG_COST_NS.iter().sum();
+        let bound = (total / 2.0).max(777.0);
+        assert!(heaviest <= 1.02 * bound, "heaviest worker {heaviest} ns against {bound} ns");
+    }
+
+    /// Records every entry it applies, and panics on a marked delta.
+    #[derive(Clone)]
+    struct Recorder {
+        applied: Vec<(u64, i64)>,
+        panics_on: Option<i64>,
+    }
+
+    impl Unit for Recorder {
+        fn apply(&mut self, entries: &[(u64, i64)]) {
+            let marked = self.panics_on;
+            assert!(entries.iter().all(|&(_, d)| Some(d) != marked), "marked delta");
+            self.applied.extend_from_slice(entries);
+        }
+
+        fn clone_state(&self) -> Box<dyn Any + Send> {
+            Box::new(self.applied.clone())
+        }
+
+        fn boxed_clone(&self) -> Box<dyn Unit> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_fails_one_publish_and_respawns_the_worker_empty() {
+        const MARKED: i64 = 99;
+        let protos: Vec<Box<dyn Unit>> = vec![
+            Box::new(Recorder { applied: Vec::new(), panics_on: Some(MARKED) }),
+            Box::new(Recorder { applied: Vec::new(), panics_on: None }),
+        ];
+        // costs 2:1 on two workers: structure 0 alone on worker 0
+        let mut dispatcher = Dispatcher::new(protos, &[2.0, 1.0], 1, 4, 2);
+        assert_eq!(dispatcher.workers[0].units, [(0, 0)]);
+        assert_eq!(dispatcher.workers[1].units, [(1, 0)]);
+
+        let before: Vec<Update> = (0..8).map(|i| Update::new(i % 5, 1)).collect();
+        let marked = [Update::new(3, MARKED)];
+        let after: Vec<Update> = (0..6).map(|i| Update::new(i % 3, -2)).collect();
+        dispatcher.ingest(&before);
+        dispatcher.ingest(&marked);
+        match dispatcher.snapshot() {
+            Err(ServiceError::Engine(EngineError::WorkerPanicked { shard: 0 })) => {}
+            Err(e) => panic!("expected worker 0 to be reported panicked, got {e}"),
+            Ok(_) => panic!("a publish after a worker panic must fail"),
+        }
+
+        dispatcher.ingest(&after);
+        let states = dispatcher.snapshot().expect("the respawned worker serves the next publish");
+        let applied = |s: usize| {
+            states[s][0].downcast_ref::<Vec<(u64, i64)>>().expect("recorder state").clone()
+        };
+        let sequential = |batches: &[&[Update]]| -> Vec<(u64, i64)> {
+            batches.iter().flat_map(|b| coalesce_updates(b)).collect()
+        };
+        let every = [&before[..4], &before[4..], &marked[..], &after[..4], &after[4..]];
+        assert_eq!(applied(1), sequential(&every), "the surviving worker saw every batch");
+        assert_eq!(applied(0), sequential(&every[3..]), "the respawned worker starts empty");
     }
 }

@@ -17,7 +17,7 @@
 //!   encoded and written: a slow socket never holds ingestion.
 //!
 //! Backpressure parks the producing connection, on the core lock or on a
-//! full worker channel of an ingest session inside [`ServiceCore::apply`].
+//! full channel of a catalog worker inside [`ServiceCore::apply`].
 //! Lock order is the core lock, then the snapshot-store lock inside a
 //! publish; live queries take only the snapshot-store lock.
 //!

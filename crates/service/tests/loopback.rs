@@ -185,6 +185,43 @@ fn tcp_loopback_round(config: ServiceConfig) {
     assert_eq!(server.join(), total);
 }
 
+/// `shards(0)` and `batch_size(0)` are taken as 1, like a zero publish
+/// interval or resident cap: the server binds, acks a catalog batch, and
+/// its digests equal sequential ingestion.
+#[test]
+fn zero_shards_and_zero_batch_size_serve_as_one() {
+    let config = ServiceConfig::new(DIM, SEED).shards(0).batch_size(0);
+    let server = RunningServer::bind_tcp("127.0.0.1:0", config).expect("bind");
+    let mut client =
+        ServiceClient::connect_tcp(server.local_addr().expect("address")).expect("connect");
+    let updates = workload(300, 8);
+    assert_eq!(client.send_updates(0, &updates).expect("catalog batch"), updates.len() as u64);
+
+    let mut reference = CatalogPrototypes::standard(DIM, SEED);
+    reference.sparse_recovery.ingest_batch(&updates);
+    reference.l0_sampler.ingest_batch(&updates);
+    reference.fis_l0.ingest_batch(&updates);
+    reference.count_sketch.ingest_batch(&updates);
+    reference.count_min.ingest_batch(&updates);
+    reference.count_median.ingest_batch(&updates);
+    reference.ams.ingest_batch(&updates);
+    let expected = [
+        (tags::SPARSE_RECOVERY, reference.sparse_recovery.state_digest()),
+        (tags::L0_SAMPLER, reference.l0_sampler.state_digest()),
+        (tags::FIS_L0_SAMPLER, reference.fis_l0.state_digest()),
+        (tags::COUNT_SKETCH, reference.count_sketch.state_digest()),
+        (tags::COUNT_MIN, reference.count_min.state_digest()),
+        (tags::COUNT_MEDIAN, reference.count_median.state_digest()),
+        (tags::AMS, reference.ams.state_digest()),
+    ];
+    assert_eq!(expected.len(), CATALOG_STRUCTURES.len());
+    for (tag, digest) in expected {
+        assert_eq!(client.digest(tag).expect("digest"), digest, "structure {tag:#06x} diverged");
+    }
+    client.shutdown().expect("shutdown ack");
+    server.join();
+}
+
 /// A batch holding any index outside `[0, DIM)` is refused whole, on the
 /// catalog (tenant 0) and on the registry (any other tenant): a typed
 /// `Proto` error, no catalog or tenant digest moves, the accepted count

@@ -122,21 +122,11 @@ impl AmsSketch {
     pub fn merge_disjoint(&mut self, other: &Self) {
         Mergeable::merge_from(self, other);
     }
-}
 
-impl LinearSketch for AmsSketch {
-    fn update(&mut self, index: u64, delta: f64) {
-        debug_assert!(index < self.dimension);
-        for ((counter, comp), sign) in
-            self.counters.iter_mut().zip(self.comp.iter_mut()).zip(self.signs.iter())
-        {
-            kahan_add(counter, comp, sign.sign(index) as f64 * delta);
-        }
-    }
-
-    /// Batched fast path: coalesce repeated indices so each distinct index
-    /// walks the `groups × group_size` sign hashes exactly once per batch.
-    /// Signed-unit counters stay exact integers in f64 for integer
+    /// Apply already-coalesced `(index, delta)` entries (distinct indices,
+    /// as [`lps_stream::coalesce_updates`] returns them), so each distinct
+    /// index walks the `groups × group_size` sign hashes exactly once per
+    /// batch. Signed-unit counters stay exact integers in f64 for integer
     /// workloads, so coalescing matches the sequential loop.
     ///
     /// This is the rows×keys shape: *many* sign polynomials evaluated at
@@ -149,15 +139,14 @@ impl LinearSketch for AmsSketch {
     /// The Kahan accumulation then replays in the exact counter order of
     /// [`AmsSketch::update`] — float state stays bit-identical to the
     /// sequential walk.
-    fn process_batch(&mut self, updates: &[lps_stream::Update]) {
-        let coalesced = lps_stream::coalesce_updates(updates);
-        if coalesced.is_empty() {
+    pub fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        if entries.is_empty() {
             return;
         }
         let bank =
             lps_hash::simd::PolyBank::new(self.signs.iter().map(|h| h.kwise().coefficients()));
         let mut hashes = vec![0u64; self.counters.len()];
-        for (index, delta) in coalesced {
+        for &(index, delta) in entries {
             debug_assert!(index < self.dimension);
             bank.eval_key(index, &mut hashes);
             let delta = delta as f64;
@@ -168,6 +157,23 @@ impl LinearSketch for AmsSketch {
                 kahan_add(counter, comp, sign * delta);
             }
         }
+    }
+}
+
+impl LinearSketch for AmsSketch {
+    fn update(&mut self, index: u64, delta: f64) {
+        debug_assert!(index < self.dimension);
+        for ((counter, comp), sign) in
+            self.counters.iter_mut().zip(self.comp.iter_mut()).zip(self.signs.iter())
+        {
+            kahan_add(counter, comp, sign.sign(index) as f64 * delta);
+        }
+    }
+
+    /// Batched fast path: coalesce repeated indices, then
+    /// [`AmsSketch::apply_coalesced`].
+    fn process_batch(&mut self, updates: &[lps_stream::Update]) {
+        self.apply_coalesced(&lps_stream::coalesce_updates(updates));
     }
 
     fn merge(&mut self, other: &Self) {

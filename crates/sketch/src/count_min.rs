@@ -78,18 +78,24 @@ impl CountMinSketch {
         }
     }
 
-    /// Batched fast path: coalesce repeated indices and walk the table in
-    /// row-major order. Pure integer counters, so the final state is
-    /// identical to the sequential loop for any batch.
+    /// Batched fast path: coalesce repeated indices, then
+    /// [`CountMinSketch::apply_coalesced`]. Pure integer counters, so the
+    /// final state is identical to the sequential loop for any batch.
     pub fn process_batch(&mut self, updates: &[Update]) {
-        let coalesced = lps_stream::coalesce_updates(updates);
-        let keys: Vec<u64> = coalesced.iter().map(|&(i, _)| i).collect();
+        self.apply_coalesced(&lps_stream::coalesce_updates(updates));
+    }
+
+    /// Apply already-coalesced `(index, delta)` entries (distinct indices,
+    /// as [`lps_stream::coalesce_updates`] returns them), walking the table
+    /// in row-major order.
+    pub fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        let keys: Vec<u64> = entries.iter().map(|&(i, _)| i).collect();
         let mut hash_scratch = vec![0u64; keys.len()];
         let mut buckets = vec![0usize; keys.len()];
         for j in 0..self.rows {
             let row = &mut self.table[j * self.width..(j + 1) * self.width];
             self.hashes[j].kwise().buckets_into(&keys, self.width, &mut hash_scratch, &mut buckets);
-            for (&(index, delta), &b) in coalesced.iter().zip(buckets.iter()) {
+            for (&(index, delta), &b) in entries.iter().zip(buckets.iter()) {
                 debug_assert!(index < self.dimension);
                 row[b] += delta;
             }
@@ -277,6 +283,23 @@ impl CountMedianSketch {
     pub fn merge_disjoint(&mut self, other: &Self) {
         Mergeable::merge_from(self, other);
     }
+
+    /// Apply already-coalesced `(index, delta)` entries (distinct indices,
+    /// as [`lps_stream::coalesce_updates`] returns them), walking the table
+    /// row-major.
+    pub fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        let keys: Vec<u64> = entries.iter().map(|&(i, _)| i).collect();
+        let mut hash_scratch = vec![0u64; keys.len()];
+        let mut buckets = vec![0usize; keys.len()];
+        for j in 0..self.rows {
+            let row = &mut self.table[j * self.width..(j + 1) * self.width];
+            self.hashes[j].kwise().buckets_into(&keys, self.width, &mut hash_scratch, &mut buckets);
+            for (&(index, delta), &b) in entries.iter().zip(buckets.iter()) {
+                debug_assert!(index < self.dimension);
+                row[b] += delta as f64;
+            }
+        }
+    }
 }
 
 impl LinearSketch for CountMedianSketch {
@@ -288,22 +311,12 @@ impl LinearSketch for CountMedianSketch {
         }
     }
 
-    /// Batched fast path: coalesce repeated indices (exact integer sums) and
-    /// walk the table row-major; identical to the sequential loop for
-    /// integer workloads (counters remain exact integers in f64).
+    /// Batched fast path: coalesce repeated indices (exact integer sums),
+    /// then [`CountMedianSketch::apply_coalesced`]; identical to the
+    /// sequential loop for integer workloads (counters remain exact
+    /// integers in f64).
     fn process_batch(&mut self, updates: &[Update]) {
-        let coalesced = lps_stream::coalesce_updates(updates);
-        let keys: Vec<u64> = coalesced.iter().map(|&(i, _)| i).collect();
-        let mut hash_scratch = vec![0u64; keys.len()];
-        let mut buckets = vec![0usize; keys.len()];
-        for j in 0..self.rows {
-            let row = &mut self.table[j * self.width..(j + 1) * self.width];
-            self.hashes[j].kwise().buckets_into(&keys, self.width, &mut hash_scratch, &mut buckets);
-            for (&(index, delta), &b) in coalesced.iter().zip(buckets.iter()) {
-                debug_assert!(index < self.dimension);
-                row[b] += delta as f64;
-            }
-        }
+        self.apply_coalesced(&lps_stream::coalesce_updates(updates));
     }
 
     fn merge(&mut self, other: &Self) {

@@ -212,6 +212,52 @@ impl CountSketch {
     pub fn merge_disjoint(&mut self, other: &Self) {
         Mergeable::merge_from(self, other);
     }
+
+    /// Apply already-coalesced `(index, delta)` entries (distinct indices,
+    /// as [`lps_stream::coalesce_updates`] returns them), walking the bucket
+    /// table in row-major order, so each pass touches one row's `6m`
+    /// contiguous counters instead of striding across the whole table per
+    /// update. Signed-unit buckets keep every counter an exact integer in
+    /// f64 for integer workloads, so coalescing is state-identical to the
+    /// sequential loop.
+    ///
+    /// This is the same rows×keys shape as the AMS sign walk: *many* degree-1
+    /// polynomials evaluated at *one* key per entry. The bucket and sign
+    /// hashes of every row go into one [`lps_hash::simd::PolyBank`] per
+    /// batch, so each key is one bank evaluation over all `2 × rows`
+    /// polynomials (one `u128` dot product and one Mersenne fold each,
+    /// where Horner pays two reductions). The Kahan
+    /// accumulation below then replays row-major in exactly the original
+    /// entry order, so the float state is bit-identical to the scalar walk
+    /// (the multiply-shift bucket reduction is the one from
+    /// [`lps_hash::KWiseHash::bucket`]).
+    pub fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        if entries.is_empty() {
+            return;
+        }
+        let rows = self.rows;
+        let bank = lps_hash::simd::PolyBank::new(
+            self.bucket_hashes.iter().chain(&self.sign_hashes).map(|h| h.kwise().coefficients()),
+        );
+        // Entry-major hash matrix: entry `e`'s row-`j` bucket hash lives at
+        // `e * 2 * rows + j` and its sign hash `rows` further on. Batches are
+        // chunked upstream (DEFAULT_BATCH_SIZE / the engine dispatch batch),
+        // so the scratch stays batch-bounded.
+        let mut hashes = vec![0u64; entries.len() * 2 * rows];
+        for (&(index, _), entry) in entries.iter().zip(hashes.chunks_exact_mut(2 * rows)) {
+            debug_assert!(index < self.dimension, "index out of range");
+            bank.eval_key(index, entry);
+        }
+        for j in 0..rows {
+            let row = &mut self.table[j * self.width..(j + 1) * self.width];
+            let comp_row = &mut self.comp[j * self.width..(j + 1) * self.width];
+            for (&(_, delta), entry) in entries.iter().zip(hashes.chunks_exact(2 * rows)) {
+                let k = ((entry[j] as u128 * self.width as u128) >> 61) as usize;
+                let sign = if entry[rows + j] & 1 == 1 { 1.0 } else { -1.0 };
+                kahan_add(&mut row[k], &mut comp_row[k], sign * delta as f64);
+            }
+        }
+    }
 }
 
 impl LinearSketch for CountSketch {
@@ -225,50 +271,10 @@ impl LinearSketch for CountSketch {
         }
     }
 
-    /// Batched fast path: coalesce repeated indices (exact integer sums) and
-    /// walk the bucket table in row-major order, so each pass touches one
-    /// row's `6m` contiguous counters instead of striding across the whole
-    /// table per update. Signed-unit buckets keep every counter an exact
-    /// integer in f64 for integer workloads, so coalescing is
-    /// state-identical to the sequential loop.
-    ///
-    /// This is the same rows×keys shape as the AMS sign walk: *many* degree-1
-    /// polynomials evaluated at *one* key per entry. The bucket and sign
-    /// hashes of every row go into one [`lps_hash::simd::PolyBank`] per
-    /// batch, so each key is one bank evaluation over all `2 × rows`
-    /// polynomials (one `u128` dot product and one Mersenne fold each,
-    /// where Horner pays two reductions). The Kahan
-    /// accumulation below then replays row-major in exactly the original
-    /// entry order, so the float state is bit-identical to the scalar walk
-    /// (the multiply-shift bucket reduction is the one from
-    /// [`lps_hash::KWiseHash::bucket`]).
+    /// Batched fast path: coalesce repeated indices (exact integer sums),
+    /// then [`CountSketch::apply_coalesced`].
     fn process_batch(&mut self, updates: &[lps_stream::Update]) {
-        let coalesced = lps_stream::coalesce_updates(updates);
-        if coalesced.is_empty() {
-            return;
-        }
-        let rows = self.rows;
-        let bank = lps_hash::simd::PolyBank::new(
-            self.bucket_hashes.iter().chain(&self.sign_hashes).map(|h| h.kwise().coefficients()),
-        );
-        // Entry-major hash matrix: entry `e`'s row-`j` bucket hash lives at
-        // `e * 2 * rows + j` and its sign hash `rows` further on. Batches are
-        // chunked upstream (DEFAULT_BATCH_SIZE / the engine dispatch batch),
-        // so the scratch stays batch-bounded.
-        let mut hashes = vec![0u64; coalesced.len() * 2 * rows];
-        for (&(index, _), entry) in coalesced.iter().zip(hashes.chunks_exact_mut(2 * rows)) {
-            debug_assert!(index < self.dimension, "index out of range");
-            bank.eval_key(index, entry);
-        }
-        for j in 0..rows {
-            let row = &mut self.table[j * self.width..(j + 1) * self.width];
-            let comp_row = &mut self.comp[j * self.width..(j + 1) * self.width];
-            for (&(_, delta), entry) in coalesced.iter().zip(hashes.chunks_exact(2 * rows)) {
-                let k = ((entry[j] as u128 * self.width as u128) >> 61) as usize;
-                let sign = if entry[rows + j] & 1 == 1 { 1.0 } else { -1.0 };
-                kahan_add(&mut row[k], &mut comp_row[k], sign * delta as f64);
-            }
-        }
+        self.apply_coalesced(&lps_stream::coalesce_updates(updates));
     }
 
     fn merge(&mut self, other: &Self) {

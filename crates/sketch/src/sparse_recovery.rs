@@ -325,8 +325,7 @@ impl SparseRecovery {
     /// updates one at a time (all cell arithmetic is exact, so coalescing
     /// and reordering across cells commute).
     pub fn process_batch(&mut self, updates: &[Update]) {
-        let coalesced = coalesce_updates(updates);
-        self.apply_coalesced(&coalesced);
+        self.apply_coalesced(&coalesce_updates(updates));
     }
 
     /// Apply already-coalesced `(index, delta)` entries (deltas non-zero).
