@@ -24,7 +24,10 @@
 //! baseline document, compares the gated headline speedups, and exits
 //! non-zero on a regression beyond the tolerance — this is the CI perf gate.
 //! An unknown experiment id or flag exits with code 2 and names it, so a
-//! mistyped id fails instead of running nothing.
+//! mistyped id fails instead of running nothing. Each subcommand checks its
+//! own flags the same way (`lps_bench::cli`): an unknown flag, a flag
+//! without its value, a value that does not parse or a missing required
+//! flag exits with code 2, naming the argument, before anything runs.
 //!
 //! The `checkpoint` subcommand exercises the cross-process persistence
 //! pipeline: without `--merge` it ingests a deterministic workload through
@@ -62,27 +65,44 @@ use lps_bench::*;
 const EXPERIMENT_IDS: &[&str] =
     &["all", "bench", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e15"];
 
-/// Reject the command line: name the bad argument and exit with code 2.
-fn usage_error(problem: &str) -> ! {
-    eprintln!(
-        "experiments: {problem} (ids: {}; flags: --full, --json, --check <path>; \
-         subcommands: checkpoint, crashtest, serve, feed, servetest, workload)",
-        EXPERIMENT_IDS.join(", ")
-    );
+/// Refuse the command line before anything runs: print `problem`, which
+/// names the bad argument, and exit with code 2.
+fn refuse(problem: &str) -> ! {
+    eprintln!("experiments: {problem}");
     std::process::exit(2);
 }
 
-/// Run the `checkpoint` subcommand; returns the process exit code.
-fn run_checkpoint(args: &[String]) -> i32 {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| panic!("{flag} needs a value")))
-    };
-    let dir =
-        std::path::PathBuf::from(value_of("--dir").expect("checkpoint requires --dir <directory>"));
-    let merge = args.iter().any(|a| a == "--merge");
-    if merge {
+/// Refuse a top-level argument, listing what the top level accepts.
+fn usage_error(problem: &str) -> ! {
+    let subcommands: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+    refuse(&format!(
+        "{problem} (ids: {}; flags: --full, --json, --check <path>; subcommands: {})",
+        EXPERIMENT_IDS.join(", "),
+        subcommands.join(", ")
+    ))
+}
+
+/// A subcommand's entry point: the process exit code, or the refused
+/// argument before anything runs.
+type Subcommand = fn(&[String]) -> Result<i32, UsageError>;
+
+/// Every subcommand, by the name that selects it.
+const SUBCOMMANDS: &[(&str, Subcommand)] = &[
+    ("checkpoint", run_checkpoint),
+    ("crashtest", run_crashtest),
+    ("serve", serve_main),
+    ("feed", feed_main),
+    ("servetest", servetest_main),
+    ("workload", workload_main),
+];
+
+/// Run the `checkpoint` subcommand.
+fn run_checkpoint(args: &[String]) -> Result<i32, UsageError> {
+    let flags = Flags { valued: &["--dir", "--shards"], switches: &["--merge"], positional: false };
+    let args = Args::parse(args, flags)?;
+    let dir = std::path::PathBuf::from(args.required("--dir", "directory")?);
+    let shards: usize = args.parsed("--shards", 4)?;
+    Ok(if args.has("--merge") {
         match checkpoint_merge(&dir) {
             Ok(outcomes) => {
                 print!("{}", render_outcomes("merge", &outcomes));
@@ -100,8 +120,6 @@ fn run_checkpoint(args: &[String]) -> i32 {
             }
         }
     } else {
-        let shards: usize =
-            value_of("--shards").map(|s| s.parse().expect("--shards needs a number")).unwrap_or(4);
         match checkpoint_write(&dir, shards) {
             Ok(outcomes) => {
                 print!("{}", render_outcomes("write", &outcomes));
@@ -117,52 +135,36 @@ fn run_checkpoint(args: &[String]) -> i32 {
                 1
             }
         }
-    }
+    })
 }
 
-/// Run the `crashtest` subcommand; returns the process exit code.
-fn run_crashtest(args: &[String]) -> i32 {
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| panic!("{flag} needs a value")))
+/// Run the `crashtest` subcommand.
+fn run_crashtest(args: &[String]) -> Result<i32, UsageError> {
+    let flags = Flags {
+        valued: &["--dir", "--kills", "--seed", "--kill-after"],
+        switches: &["--child"],
+        positional: false,
     };
-    let dir =
-        std::path::PathBuf::from(value_of("--dir").expect("crashtest requires --dir <directory>"));
-    let seed: u64 =
-        value_of("--seed").map(|s| s.parse().expect("--seed needs a number")).unwrap_or(1);
-    if args.iter().any(|a| a == "--child") {
-        let kill_after: u64 = value_of("--kill-after")
-            .expect("--child requires --kill-after <commits>")
-            .parse()
-            .expect("--kill-after needs a number");
-        crashtest_child(&dir, seed, kill_after)
+    let args = Args::parse(args, flags)?;
+    let dir = std::path::PathBuf::from(args.required("--dir", "directory")?);
+    let seed: u64 = args.parsed("--seed", 1)?;
+    Ok(if args.has("--child") {
+        args.required("--kill-after", "commits")?;
+        crashtest_child(&dir, seed, args.parsed("--kill-after", 0)?)
     } else {
-        let kills: u32 =
-            value_of("--kills").map(|s| s.parse().expect("--kills needs a number")).unwrap_or(8);
-        crashtest_parent(&dir, kills, seed)
-    }
+        crashtest_parent(&dir, args.parsed("--kills", 8)?, seed)
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("checkpoint") {
-        std::process::exit(run_checkpoint(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("crashtest") {
-        std::process::exit(run_crashtest(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        std::process::exit(serve_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("feed") {
-        std::process::exit(feed_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("servetest") {
-        std::process::exit(servetest_main(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("workload") {
-        std::process::exit(workload_main(&args[1..]));
+    if let Some(&(name, run)) =
+        SUBCOMMANDS.iter().find(|(name, _)| args.first().map(String::as_str) == Some(name))
+    {
+        match run(&args[1..]) {
+            Ok(code) => std::process::exit(code),
+            Err(e) => refuse(&format!("{name}: {e}")),
+        }
     }
     let (mut full, mut json) = (false, false);
     let mut check_baseline: Option<String> = None;

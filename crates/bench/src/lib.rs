@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod cli;
 pub mod crashtest;
 pub mod e_duplicates;
 pub mod e_heavy;
@@ -34,6 +35,7 @@ pub mod workload_cli;
 pub use checkpoint::{
     checkpoint_merge, checkpoint_write, render_outcomes, CheckpointOutcome, CHECKPOINT_STRUCTURES,
 };
+pub use cli::{Args, Flags, UsageError};
 pub use crashtest::{crashtest_child, crashtest_parent, CrashOutcome};
 pub use e_duplicates::{e5_duplicates, e6_duplicates_short, e7_duplicates_long};
 pub use e_heavy::e8_heavy_hitters;

@@ -22,6 +22,7 @@ use lps_sketch::persist::tags;
 use lps_sketch::Mergeable;
 use lps_stream::Update;
 
+use crate::cli::{Args, Flags, UsageError};
 use crate::throughput::workload;
 
 /// Catalog dimension of the harness service (`log2 n = 16`).
@@ -35,39 +36,33 @@ const BATCH: usize = 1_000;
 /// Tenants the feed spreads registry traffic over.
 const TENANTS: u64 = 8;
 
-fn value_of(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| panic!("{flag} needs a value")))
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    value_of(args, flag)
-        .map(|s| s.parse().unwrap_or_else(|_| panic!("{flag} needs a number")))
-        .unwrap_or(default)
-}
-
 /// `experiments -- serve [--dim N] [--seed S] [--shards K] [--publish P]
 /// [--token T]`: bind a loopback TCP service, announce the address on
 /// stdout, and serve until a client sends `Shutdown`. `--shards` and
 /// `--publish` default to [`ServiceConfig::new`]'s. With `--token` the
 /// server requires that authentication token in every `Hello`. Returns the
-/// process exit code.
-pub fn serve_main(args: &[String]) -> i32 {
-    let dim = parsed(args, "--dim", SERVICE_DIM);
-    let seed = parsed(args, "--seed", SERVICE_SEED);
+/// process exit code, or the refused argument before anything binds.
+pub fn serve_main(args: &[String]) -> Result<i32, UsageError> {
+    let flags = Flags {
+        valued: &["--dim", "--seed", "--shards", "--publish", "--token"],
+        switches: &[],
+        positional: false,
+    };
+    let args = Args::parse(args, flags)?;
+    let dim = args.parsed("--dim", SERVICE_DIM)?;
+    let seed = args.parsed("--seed", SERVICE_SEED)?;
     let defaults = ServiceConfig::new(dim, seed);
-    let shards = parsed(args, "--shards", defaults.shards);
-    let publish = parsed(args, "--publish", defaults.publish_interval);
+    let shards = args.parsed("--shards", defaults.shards)?;
+    let publish = args.parsed("--publish", defaults.publish_interval)?;
     let mut config = defaults.shards(shards).publish_interval(publish);
-    if let Some(token) = value_of(args, "--token") {
+    if let Some(token) = args.value("--token") {
         config = config.auth_token(token);
     }
     let server = match RunningServer::bind_tcp(("127.0.0.1", 0), config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("serve: bind failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let addr = server.local_addr().expect("tcp server has an address");
@@ -77,22 +72,26 @@ pub fn serve_main(args: &[String]) -> i32 {
     let _ = std::io::stdout().flush();
     let accepted = server.join();
     println!("serve: accepted {accepted} updates, shutting down");
-    0
+    Ok(0)
 }
 
-/// `experiments -- feed --addr A [--updates N]`: drive the full feed
-/// against an already-running server. Returns the process exit code.
-pub fn feed_main(args: &[String]) -> i32 {
-    let Some(addr) = value_of(args, "--addr") else {
-        eprintln!("feed requires --addr <host:port>");
-        return 2;
+/// `experiments -- feed --addr A [--updates N] [--dim N] [--seed S]
+/// [--token T] [--shutdown]`: drive the full feed against an
+/// already-running server. Returns the process exit code, or the refused
+/// argument before anything connects.
+pub fn feed_main(args: &[String]) -> Result<i32, UsageError> {
+    let flags = Flags {
+        valued: &["--addr", "--updates", "--dim", "--seed", "--token"],
+        switches: &["--shutdown"],
+        positional: false,
     };
-    let updates = parsed(args, "--updates", 120_000usize);
-    let dim = parsed(args, "--dim", SERVICE_DIM);
-    let seed = parsed(args, "--seed", SERVICE_SEED);
-    let shutdown = args.iter().any(|a| a == "--shutdown");
-    let token = value_of(args, "--token");
-    match run_feed(&addr, updates, dim, seed, shutdown, token.as_deref()) {
+    let args = Args::parse(args, flags)?;
+    let addr = args.required("--addr", "host:port")?;
+    let updates = args.parsed("--updates", 120_000usize)?;
+    let dim = args.parsed("--dim", SERVICE_DIM)?;
+    let seed = args.parsed("--seed", SERVICE_SEED)?;
+    let shutdown = args.has("--shutdown");
+    Ok(match run_feed(addr, updates, dim, seed, shutdown, args.value("--token")) {
         Ok(report) => {
             print!("{report}");
             println!("service loopback: all digests match sequential ingestion");
@@ -102,14 +101,19 @@ pub fn feed_main(args: &[String]) -> i32 {
             eprintln!("service loopback FAILED: {e}");
             1
         }
-    }
+    })
 }
 
 /// `experiments -- servetest [--updates N]`: spawn a `serve` child of this
 /// same binary, feed it over real TCP, and tear both down. Returns the
-/// process exit code.
-pub fn servetest_main(args: &[String]) -> i32 {
-    let updates = parsed(args, "--updates", 120_000usize);
+/// process exit code, or the refused argument before anything spawns.
+pub fn servetest_main(args: &[String]) -> Result<i32, UsageError> {
+    let flags = Flags { valued: &["--updates"], switches: &[], positional: false };
+    let updates = Args::parse(args, flags)?.parsed("--updates", 120_000usize)?;
+    Ok(servetest(updates))
+}
+
+fn servetest(updates: usize) -> i32 {
     let exe = std::env::current_exe().expect("current_exe");
     // The child requires an auth token so the two-process harness also
     // exercises the authenticated handshake end to end.

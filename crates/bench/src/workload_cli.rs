@@ -20,6 +20,7 @@ use std::path::Path;
 use lps_service::{RunningServer, ServiceConfig};
 use lps_workload::{run_workload, EngineTarget, SocketTarget, WorkloadOutcome, WorkloadSpec};
 
+use crate::cli::{Args, Flags, UsageError};
 use crate::report::{f1, int, Table};
 
 /// The artifact both the bench suite and the workload harness stamp.
@@ -225,18 +226,22 @@ pub fn check_artifact(doc: &str, expected_specs: &[String]) -> Vec<String> {
     failures
 }
 
-/// Run the `workload` subcommand; returns the process exit code.
-pub fn workload_main(args: &[String]) -> i32 {
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-    let spec_paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if spec_paths.is_empty() {
-        eprintln!("workload requires at least one <spec.toml> path");
-        return 1;
+/// Run the `workload` subcommand; returns the process exit code, or the
+/// refused argument before any spec is read.
+pub fn workload_main(args: &[String]) -> Result<i32, UsageError> {
+    let flags = Flags { valued: &[], switches: &["--json", "--check"], positional: true };
+    let args = Args::parse(args, flags)?;
+    if args.positional().is_empty() {
+        return Err(UsageError("needs at least one <spec.toml> path".to_string()));
     }
+    Ok(run_specs(args.positional(), args.has("--json"), args.has("--check")))
+}
 
+/// Run every spec at `spec_paths` on both targets, then stamp and check the
+/// artifact as asked; returns the process exit code.
+fn run_specs(spec_paths: &[String], json: bool, check: bool) -> i32 {
     let mut specs = Vec::new();
-    for path in &spec_paths {
+    for path in spec_paths {
         match WorkloadSpec::load(Path::new(path.as_str())) {
             Ok(spec) => specs.push(spec),
             Err(e) => {

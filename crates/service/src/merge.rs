@@ -10,8 +10,9 @@
 //!   `Arc` that connection threads clone out of [`SnapshotHandle`] under a
 //!   brief map lock. Reads never touch the ingest path, never wait on it,
 //!   and are stale by at most one publish interval
-//!   ([`ServiceConfig::publish_interval`] accepted updates) plus whatever
-//!   is staged or queued for the catalog's workers.
+//!   ([`ServiceConfig::publish_interval`] accepted updates): a publish
+//!   covers every update accepted before it, whether staged, sealed but
+//!   not yet sent, or queued at a worker.
 //! * **Digest queries** (structure or tenant) are applied under the core
 //!   lock like writes, forcing a fresh publish first — so they are
 //!   linearized with ingestion: a digest answered after the service
@@ -21,26 +22,33 @@
 //! ## Publishing without pausing ingestion
 //!
 //! Every catalog structure is a linear sketch of the frequency vector, so
-//! one coalesced `(index, Δ)` list is a correct input for all of them. The
-//! core's one dispatcher stages each tenant-0 update once, seals a batch
-//! every [`ServiceConfig::batch_size`] updates, runs `coalesce_updates` on
-//! it once, and sends the result as one `Arc` to a worker pool sized to the
-//! host: `min(available_parallelism, 7 × shards)` workers, each owning a
-//! fixed share of the catalog's (structure, replica) units, placed
-//! longest-first by per-update cost. Replica `r` of a structure takes
-//! sealed batches `r, r + shards, …`.
+//! one coalesced `(index, Δ)` list is a correct input for all of them, and
+//! when a batch reaches the workers changes no answer as long as each
+//! publish sends it first. The core's one dispatcher stages each tenant-0
+//! update once and seals a batch every [`ServiceConfig::batch_size`]
+//! updates, moving it uncoalesced to an unsent list: accepting a frame
+//! (`ServiceCore::accept`) never waits on a worker. The fan-out
+//! (`ServiceCore::fan_out`) runs `coalesce_updates` once per unsent batch,
+//! oldest first, and sends the result as one `Arc` to a worker pool sized
+//! to the host: `min(available_parallelism, 7 × shards)` workers, each
+//! owning a fixed share of the catalog's (structure, replica) units, placed
+//! longest-first by per-update cost. Replica `r` of a structure takes sent
+//! batches `r, r + shards, …`. [`ServiceCore::apply`] runs both steps; the
+//! server acknowledges a write after the first and runs the second after
+//! the ack is written.
 //!
-//! A publish sends one snapshot request per worker, queued behind its
-//! batches, and each worker answers with clones of its units. Per
-//! structure, the replica clones merge, absorbed shard uploads merge in,
-//! and the snapshot `Arc` swaps. Nothing is serialized and no worker
-//! restarts — the catalog structures are linear sketches, so the in-memory
-//! merge is already bit-exact and the published digest equals sequential
-//! ingestion of everything the service has accepted, however it arrived
-//! (streamed batches, shard uploads, or both). Bytes are only for crossing
-//! a process boundary: uploads and [`merge_checkpointed`]. The publish
-//! interval, `Digest`, `CheckpointUpload` and `Shutdown` all take this one
-//! path, and each refreshes all seven snapshots.
+//! A publish first seals the staged updates and sends every unsent batch,
+//! then sends one snapshot request per worker, queued behind its batches,
+//! and each worker answers with clones of its units. Per structure, the
+//! replica clones merge, absorbed shard uploads merge in, and the snapshot
+//! `Arc` swaps. Nothing is serialized and no worker restarts — the catalog
+//! structures are linear sketches, so the in-memory merge is already
+//! bit-exact and the published digest equals sequential ingestion of
+//! everything the service has accepted, however it arrived (streamed
+//! batches, shard uploads, or both). Bytes are only for crossing a process
+//! boundary: uploads and [`merge_checkpointed`]. The publish interval,
+//! `Digest`, `CheckpointUpload` and `Shutdown` all take this one path, and
+//! each refreshes all seven snapshots.
 //!
 //! A worker that panics loses **all** of its units: the publish that finds
 //! it returns `Engine(WorkerPanicked)`, and the worker is respawned with
@@ -417,17 +425,21 @@ impl Worker {
     }
 }
 
-/// The tenant-0 catalog's ingest path: one staging buffer, one
-/// `coalesce_updates` per sealed batch, and one `Arc` of the result sent to
-/// each worker that owns a unit of the batch's replica.
+/// The tenant-0 catalog's ingest path: one staging buffer, a list of
+/// sealed batches not yet sent, one `coalesce_updates` per batch as it is
+/// sent, and one `Arc` of the result sent to each worker that owns a unit
+/// of the batch's replica.
 struct Dispatcher {
     /// Zero-state prototype of each structure, for (re)spawning workers.
     protos: Vec<Box<dyn Unit>>,
     replicas: usize,
     batch_size: usize,
     staging: Vec<Update>,
-    /// Batches sealed so far: batch `i` goes to replica `i % replicas`.
-    sealed: u64,
+    /// Sealed batches, uncoalesced, oldest first, that `fan_out` has not
+    /// sent yet.
+    unsent: Vec<Vec<Update>>,
+    /// Batches sent so far: batch `i` goes to replica `i % replicas`.
+    sent: u64,
     workers: Vec<Worker>,
 }
 
@@ -450,14 +462,14 @@ impl Dispatcher {
             replicas,
             batch_size,
             staging: Vec::with_capacity(batch_size),
-            sealed: 0,
+            unsent: Vec::new(),
+            sent: 0,
             workers,
         }
     }
 
-    /// Stage `updates` (copied once), sealing every full batch. Parks on a
-    /// full worker channel: the backpressure point, which leaves the cores
-    /// to the workers it waits on.
+    /// Stage `updates` (copied once), sealing every full batch. Never
+    /// waits on a worker: sealing moves the buffer to the unsent list.
     fn ingest(&mut self, mut updates: &[Update]) {
         while !updates.is_empty() {
             let take = (self.batch_size - self.staging.len()).min(updates.len());
@@ -469,29 +481,40 @@ impl Dispatcher {
         }
     }
 
-    /// Coalesce the staged updates once and send the batch to every worker
-    /// owning a unit of its replica. A send to a panicked worker fails at
-    /// once; its state is already lost, and the next publish reports it.
+    /// Move the staged updates, uncoalesced, to the end of the unsent list.
     fn seal(&mut self) {
-        if self.staging.is_empty() {
-            return;
-        }
-        let entries: Arc<[(u64, i64)]> = coalesce_updates(&self.staging).into();
-        self.staging.clear();
-        let replica = (self.sealed % self.replicas as u64) as usize;
-        self.sealed += 1;
-        for worker in self.workers.iter().filter(|w| w.units.iter().any(|&(_, r)| r == replica)) {
-            let _ = worker.sender.send(Message::Batch { replica, entries: Arc::clone(&entries) });
+        let staged = std::mem::replace(&mut self.staging, Vec::with_capacity(self.batch_size));
+        self.unsent.push(staged);
+    }
+
+    /// Coalesce each unsent batch once, oldest first, and send it to every
+    /// worker owning a unit of its replica. Parks on a full worker channel:
+    /// the backpressure point, which leaves the cores to the workers it
+    /// waits on. A send to a panicked worker fails at once; its state is
+    /// already lost, and the next publish reports it.
+    fn fan_out(&mut self) {
+        for batch in self.unsent.drain(..) {
+            let entries: Arc<[(u64, i64)]> = coalesce_updates(&batch).into();
+            let replica = (self.sent % self.replicas as u64) as usize;
+            self.sent += 1;
+            let owners = self.workers.iter().filter(|w| w.units.iter().any(|&(_, r)| r == replica));
+            for worker in owners {
+                let _ =
+                    worker.sender.send(Message::Batch { replica, entries: Arc::clone(&entries) });
+            }
         }
     }
 
-    /// Seal the staged updates, then collect a clone of every unit,
-    /// grouped by structure (the replicas of a structure merge exactly, in
-    /// any order). A panicked worker fails the call with
-    /// `Engine(WorkerPanicked)` (lowest worker index) and is respawned with
-    /// zero-state units.
+    /// Seal the staged updates and send every unsent batch, then collect a
+    /// clone of every unit, grouped by structure (the replicas of a
+    /// structure merge exactly, in any order). A panicked worker fails the
+    /// call with `Engine(WorkerPanicked)` (lowest worker index) and is
+    /// respawned with zero-state units.
     fn snapshot(&mut self) -> Result<Vec<Vec<Box<dyn Any + Send>>>, ServiceError> {
-        self.seal();
+        if !self.staging.is_empty() {
+            self.seal();
+        }
+        self.fan_out();
         // request every worker's clones before awaiting any, so they copy
         // in parallel
         let replies: Vec<_> = self
@@ -628,11 +651,37 @@ impl ServiceCore {
     }
 
     /// Apply one frame in arrival order and produce the frame to send
-    /// back. Only ingest-ordered frames route here (update batches,
-    /// checkpoint uploads, digest queries, shutdown's final ack) — the
-    /// server answers live queries from the [`SnapshotHandle`] without
-    /// entering this method.
+    /// back: validate, stage and count it, then send the catalog's workers
+    /// every batch it sealed. Only ingest-ordered frames route here (update
+    /// batches, checkpoint uploads, digest queries, shutdown's final ack) —
+    /// the server answers live queries from the [`SnapshotHandle`] without
+    /// entering this method. The server runs the two steps in two lock
+    /// holds and writes the reply between them, so its ack means "staged
+    /// and counted": the sealed batches reach the workers right after the
+    /// ack, and every publish sends whatever is staged first.
     pub fn apply(&mut self, frame: Frame) -> Result<Frame, ServiceError> {
+        let reply = self.accept(frame);
+        self.fan_out();
+        reply
+    }
+
+    /// Whether sealed tenant-0 batches wait for [`fan_out`](Self::fan_out).
+    pub(crate) fn has_unsent(&self) -> bool {
+        !self.dispatcher.unsent.is_empty()
+    }
+
+    /// Coalesce every sealed, unsent tenant-0 batch once and send it to the
+    /// catalog's workers, oldest first; parks on a full worker channel.
+    pub(crate) fn fan_out(&mut self) {
+        self.dispatcher.fan_out();
+    }
+
+    /// Validate, stage and count one frame and produce the frame to send
+    /// back, without waiting on a catalog worker unless the frame
+    /// publishes: every publish first sends what is staged, so a reply
+    /// (digests included) covers every update accepted before it. Batches
+    /// the frame seals wait for [`fan_out`](Self::fan_out).
+    pub(crate) fn accept(&mut self, frame: Frame) -> Result<Frame, ServiceError> {
         match frame {
             // The structures only debug-assert their domain, and the hash
             // kernels assume keys below 2^61 − 1 (which `dimension` never
@@ -727,6 +776,9 @@ impl ServiceCore {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::{channel, Receiver};
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -820,5 +872,102 @@ mod tests {
         let every = [&before[..4], &before[4..], &marked[..], &after[..4], &after[4..]];
         assert_eq!(applied(1), sequential(&every), "the surviving worker saw every batch");
         assert_eq!(applied(0), sequential(&every[3..]), "the respawned worker starts empty");
+    }
+
+    /// Records each batch it applies, after waiting in `apply` until its
+    /// gate channel sends or closes.
+    #[derive(Clone)]
+    struct Gated {
+        batches: Vec<Vec<(u64, i64)>>,
+        gate: Arc<Mutex<Receiver<()>>>,
+    }
+
+    impl Unit for Gated {
+        fn apply(&mut self, entries: &[(u64, i64)]) {
+            let _ = self.gate.lock().expect("gate lock").recv();
+            self.batches.push(entries.to_vec());
+        }
+
+        fn clone_state(&self) -> Box<dyn Any + Send> {
+            Box::new(self.batches.clone())
+        }
+
+        fn boxed_clone(&self) -> Box<dyn Unit> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn staging_never_waits_on_a_blocked_worker() {
+        const BATCH: usize = 4;
+        let (release, gate) = channel::<()>();
+        let proto = Gated { batches: Vec::new(), gate: Arc::new(Mutex::new(gate)) };
+        let mut dispatcher = Dispatcher::new(vec![Box::new(proto)], &[1.0], 1, BATCH, 1);
+        // one batch for the worker to block on, then one more than its
+        // channel holds: sent as they seal, the last would park
+        let updates: Vec<Update> = (0..(WORKER_BACKLOG + 2) * BATCH)
+            .map(|i| Update::new(i as u64 % 7, 1 + i as i64 % 3))
+            .collect();
+        dispatcher.ingest(&updates[..BATCH]);
+        dispatcher.fan_out();
+        let (done, staged) = channel();
+        let staging = {
+            let updates = updates[BATCH..].to_vec();
+            std::thread::spawn(move || {
+                dispatcher.ingest(&updates);
+                let _ = done.send(dispatcher);
+            })
+        };
+        let staged = staged.recv_timeout(Duration::from_secs(5));
+        // open the gate for good, whether or not staging returned
+        drop(release);
+        let mut dispatcher = staged.expect("staging returned while the worker was blocked");
+        staging.join().expect("staging thread");
+
+        assert_eq!(dispatcher.unsent.len(), WORKER_BACKLOG + 1, "every full batch waits");
+        dispatcher.fan_out();
+        assert!(dispatcher.unsent.is_empty());
+        let states = dispatcher.snapshot().expect("the released worker answers");
+        let batches = states[0][0].downcast_ref::<Vec<Vec<(u64, i64)>>>().expect("gated state");
+        let sealed: Vec<Vec<(u64, i64)>> = updates.chunks(BATCH).map(coalesce_updates).collect();
+        assert_eq!(*batches, sealed, "every batch, coalesced once, in seal order");
+    }
+
+    #[test]
+    fn a_digest_covers_acked_but_unsent_updates() {
+        const DIM: u64 = 1 << 10;
+        const SEED: u64 = 0xAC4;
+        let config = ServiceConfig::new(DIM, SEED);
+        let mut core = ServiceCore::new(&config);
+        let updates: Vec<Update> = (0..config.batch_size as u64)
+            .map(|i| Update::new(i * 37 % DIM, if i % 3 == 0 { -1 } else { 2 }))
+            .collect();
+        let ack = core.accept(Frame::UpdateBatch { tenant: 0, updates: updates.clone() });
+        assert!(matches!(ack, Ok(Frame::Reply(Reply::Ack { accepted: 1024 }))), "{ack:?}");
+        assert!(core.has_unsent(), "a full batch waits for the fan-out after its ack");
+
+        fn sequential<T: ServeQuery>(mut structure: T, updates: &[Update]) -> u64 {
+            structure.ingest_batch(updates);
+            structure.state_digest()
+        }
+        let p = CatalogPrototypes::standard(DIM, SEED);
+        let expected = [
+            sequential(p.sparse_recovery, &updates),
+            sequential(p.l0_sampler, &updates),
+            sequential(p.fis_l0, &updates),
+            sequential(p.count_sketch, &updates),
+            sequential(p.count_min, &updates),
+            sequential(p.count_median, &updates),
+            sequential(p.ams, &updates),
+        ];
+        for ((name, structure), digest) in crate::CATALOG_STRUCTURES.into_iter().zip(expected) {
+            match core.apply(Frame::Query(Query::Digest { structure })) {
+                Ok(Frame::Reply(Reply::Digest { digest: served })) => {
+                    assert_eq!(served, digest, "{name} diverged from sequential ingestion")
+                }
+                other => panic!("{name}: expected a digest, got {other:?}"),
+            }
+            assert!(!core.has_unsent(), "the digest's publish sent every batch");
+        }
     }
 }

@@ -16,10 +16,17 @@
 //!   with the writes before it. The guard is dropped before the reply is
 //!   encoded and written: a slow socket never holds ingestion.
 //!
+//! An update batch is acknowledged once it is staged and counted under the
+//! core lock. The tenant-0 batches it seals reach the catalog's workers
+//! right after the ack is written: the connection locks the core again and
+//! sends every sealed batch still unsent, whichever connection sealed it.
+//! Every publish sends what is staged first, so digests stay linearized.
+//!
 //! Backpressure parks the producing connection, on the core lock or on a
-//! full channel of a catalog worker inside [`ServiceCore::apply`].
-//! Lock order is the core lock, then the snapshot-store lock inside a
-//! publish; live queries take only the snapshot-store lock.
+//! full channel of a catalog worker: that wait comes after its ack, before
+//! it reads its next frame. Lock order is the core lock, then the
+//! snapshot-store lock inside a publish; live queries take only the
+//! snapshot-store lock.
 //!
 //! Failures stay scoped to their connection: a malformed byte stream earns
 //! a best-effort [`Frame::Error`] and a close, a rejected upload (for
@@ -296,9 +303,13 @@ fn serve_connection(
 }
 
 /// Run `f` on the core under its lock, then write its reply once the guard
-/// is dropped: a slow socket never holds ingestion. A core that is shutting
-/// down, or whose lock a panic mid-apply poisoned, gets a typed `Internal`
-/// refusal instead, and `false` closes the connection.
+/// is dropped: a slow socket never holds ingestion. If the core then holds
+/// sealed batches its workers have not been sent (this frame's, or another
+/// connection's), lock again and send them all: the ack goes out before
+/// the fan-out, and a full worker channel parks this connection before it
+/// reads its next frame. A core that is shutting down, or whose lock a
+/// panic mid-apply poisoned, gets a typed `Internal` refusal instead, and
+/// `false` closes the connection.
 fn apply_locked(
     conn: &mut dyn Connection,
     core: &Mutex<ServiceCore>,
@@ -306,11 +317,21 @@ fn apply_locked(
     f: impl FnOnce(&mut ServiceCore) -> Frame,
 ) -> bool {
     let response = match core.lock() {
-        Ok(mut core) if !shutdown.load(Ordering::SeqCst) => Some(f(&mut core)),
+        Ok(mut guard) if !shutdown.load(Ordering::SeqCst) => {
+            Some((f(&mut guard), guard.has_unsent()))
+        }
         _ => None,
     };
     match response {
-        Some(response) => write_frame(conn, &response).is_ok(),
+        Some((response, unsent)) => {
+            let open = write_frame(conn, &response).is_ok();
+            if unsent {
+                if let Ok(mut guard) = core.lock() {
+                    guard.fan_out();
+                }
+            }
+            open
+        }
         None => {
             let detail = "service is shutting down".to_string();
             let _ = write_frame(conn, &Frame::Error { code: ErrorCode::Internal, detail });
@@ -400,10 +421,11 @@ fn handle_frame(
         }
         // Everything else is ingest-ordered: update batches, checkpoint
         // uploads, digest queries. Waiting for the lock, or for a full
-        // worker channel inside `apply`, is the backpressure point.
+        // worker channel in the fan-out after the ack, is the backpressure
+        // point.
         frame @ (Frame::UpdateBatch { .. } | Frame::CheckpointUpload { .. } | Frame::Query(_)) => {
             apply_locked(conn, core, shutdown, |core| {
-                core.apply(frame).unwrap_or_else(|e| e.to_error_frame())
+                core.accept(frame).unwrap_or_else(|e| e.to_error_frame())
             })
         }
         // A server never expects replies or errors from a client; flag it

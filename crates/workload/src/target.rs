@@ -68,8 +68,9 @@ impl WorkloadTarget for EngineTarget {
 }
 
 /// The socket target: a [`ServiceClient`] over TCP, measuring the full
-/// stack — framing, checksums, the server's ingest queue, and snapshot
-/// reads on the connection thread.
+/// stack — framing, checksums, the connection thread's apply under the
+/// core lock (a write completes at its ack, once staged and counted), and
+/// snapshot reads on the connection thread.
 pub struct SocketTarget {
     client: ServiceClient<TcpStream>,
 }
