@@ -101,7 +101,8 @@ fn run_checkpoint(args: &[String]) -> Result<i32, UsageError> {
     let flags = Flags { valued: &["--dir", "--shards"], switches: &["--merge"], positional: false };
     let args = Args::parse(args, flags)?;
     let dir = std::path::PathBuf::from(args.required("--dir", "directory")?);
-    let shards: usize = args.parsed("--shards", 4)?;
+    // the checkpoint envelope stamps the shard count as a u16
+    let shards: usize = args.parsed_in("--shards", 4, 1..=usize::from(u16::MAX))?;
     Ok(if args.has("--merge") {
         match checkpoint_merge(&dir) {
             Ok(outcomes) => {
@@ -205,9 +206,6 @@ fn main() {
         let scaling = engine_scaling_suite(quick);
         println!("{}", engine_scaling_table(&scaling, meta.host_cpus).render());
         records.extend(scaling);
-        let strategies = strategy_comparison_suite(quick);
-        println!("{}", strategy_comparison_table(&strategies, meta.host_cpus).render());
-        records.extend(strategies);
         let kernels = kernel_suite(quick);
         println!("{}", kernel_table(&kernels).render());
         records.extend(kernels);

@@ -6,17 +6,13 @@
 //!
 //! 1. `experiments -- checkpoint --dir D [--shards K]` — for every
 //!    exact-arithmetic engine structure, ingest a deterministic workload
-//!    through a `K`-shard [`lps_engine::IngestSession`] (alternating the
-//!    round-robin and key-range plans across structures so both envelope
-//!    kinds cross the process boundary), checkpoint the un-merged shard
-//!    states, and write one `<structure>.shard-<i>.lps` file per shard
-//!    into `D`.
+//!    through a `K`-shard round-robin [`lps_engine::IngestSession`],
+//!    checkpoint the un-merged shard states, and write one
+//!    `<structure>.shard-<i>.lps` file per shard into `D`.
 //! 2. `experiments -- checkpoint --merge --dir D` — in a *fresh process*,
 //!    read the shard files back, combine them with
 //!    [`lps_engine::merge_checkpointed`] (which validates the stamped plan
-//!    and version/seed compatibility before merging, and picks the combine
-//!    operation — additive or disjoint union — from the envelope), and
-//!    compare the merged `Mergeable::state_digest` against sequential
+//!    and version/seed compatibility before merging), and compare the merged `Mergeable::state_digest` against sequential
 //!    single-process ingestion of the same workload. Any digest mismatch
 //!    exits non-zero.
 //!
@@ -28,7 +24,7 @@
 use std::path::{Path, PathBuf};
 
 use lps_core::{FisL0Sampler, L0Sampler};
-use lps_engine::{merge_checkpointed, EngineBuilder, KeyRange, PlanStrategy, ShardIngest};
+use lps_engine::{merge_checkpointed, EngineBuilder, ShardIngest};
 use lps_hash::SeedSequence;
 use lps_sketch::{
     AmsSketch, CountMedianSketch, CountMinSketch, CountSketch, Persist, SparseRecovery,
@@ -75,31 +71,19 @@ pub struct CheckpointOutcome {
     pub matched: bool,
 }
 
-/// Ingest the workload through a `shards`-worker session under `strategy`
-/// and write one plan-enveloped file per shard; returns the outcome (digest
-/// = sequential reference the merge phase must reproduce).
+/// Ingest the workload through a `shards`-worker session and write one
+/// plan-enveloped file per shard; returns the outcome (digest = sequential
+/// reference the merge phase must reproduce).
 fn write_one<T: ShardIngest + Persist + 'static>(
     structure: &'static str,
     proto: &T,
     updates: &[Update],
     shards: usize,
-    strategy: PlanStrategy,
     dir: &Path,
 ) -> std::io::Result<CheckpointOutcome> {
-    let encoded = match strategy {
-        PlanStrategy::RoundRobin => {
-            let mut session = EngineBuilder::new(proto).shards(shards).session();
-            session.ingest_blocking(updates);
-            session.checkpoint().unwrap()
-        }
-        PlanStrategy::KeyRange => {
-            let mut session = EngineBuilder::new(proto)
-                .plan(KeyRange::new(CHECKPOINT_DIMENSION, shards))
-                .session();
-            session.ingest_blocking(updates);
-            session.checkpoint().unwrap()
-        }
-    };
+    let mut session = EngineBuilder::new(proto).shards(shards).session();
+    session.ingest_blocking(updates);
+    let encoded = session.checkpoint().unwrap();
     let mut bytes = 0u64;
     for (i, buf) in encoded.iter().enumerate() {
         bytes += buf.len() as u64;
@@ -182,18 +166,14 @@ pub fn checkpoint_write(dir: &Path, shards: usize) -> std::io::Result<Vec<Checkp
     std::fs::create_dir_all(dir)?;
     let updates = checkpoint_workload();
     let protos = Prototypes::build();
-    // Alternate strategies across the structures so the cross-process CI
-    // job exercises BOTH plan envelopes end to end: the merge phase reads
-    // the strategy back out of each file, never out of this table.
-    use PlanStrategy::{KeyRange as KR, RoundRobin as RR};
     Ok(vec![
-        write_one("sparse_recovery", &protos.sparse_recovery, &updates, shards, KR, dir)?,
-        write_one("l0_sampler", &protos.l0, &updates, shards, RR, dir)?,
-        write_one("fis_l0", &protos.fis_l0, &updates, shards, KR, dir)?,
-        write_one("count_sketch", &protos.count_sketch, &updates, shards, RR, dir)?,
-        write_one("count_min", &protos.count_min, &updates, shards, KR, dir)?,
-        write_one("count_median", &protos.count_median, &updates, shards, RR, dir)?,
-        write_one("ams", &protos.ams, &updates, shards, KR, dir)?,
+        write_one("sparse_recovery", &protos.sparse_recovery, &updates, shards, dir)?,
+        write_one("l0_sampler", &protos.l0, &updates, shards, dir)?,
+        write_one("fis_l0", &protos.fis_l0, &updates, shards, dir)?,
+        write_one("count_sketch", &protos.count_sketch, &updates, shards, dir)?,
+        write_one("count_min", &protos.count_min, &updates, shards, dir)?,
+        write_one("count_median", &protos.count_median, &updates, shards, dir)?,
+        write_one("ams", &protos.ams, &updates, shards, dir)?,
     ])
 }
 

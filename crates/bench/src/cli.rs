@@ -1,10 +1,11 @@
 //! Command-line checking for the `experiments` subcommands. Each subcommand
 //! names the flags it knows; an unknown flag, a flag without its value, a
-//! value that does not parse and a missing required flag are all a
-//! [`UsageError`] naming the argument, which the binary refuses with exit
-//! code 2 before anything runs.
+//! value that does not parse or lies outside its range and a missing
+//! required flag are all a [`UsageError`] naming the argument, which the
+//! binary refuses with exit code 2 before anything runs.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::str::FromStr;
 
 /// A refused command line; the message names the argument.
@@ -84,6 +85,28 @@ impl Args {
         }
     }
 
+    /// [`parsed`](Self::parsed), refusing a value outside `range` by name.
+    pub fn parsed_in<T>(
+        &self,
+        flag: &str,
+        default: T,
+        range: RangeInclusive<T>,
+    ) -> Result<T, UsageError>
+    where
+        T: FromStr + PartialOrd + fmt::Display,
+    {
+        let value = self.parsed(flag, default)?;
+        if range.contains(&value) {
+            Ok(value)
+        } else {
+            Err(UsageError(format!(
+                "{flag} must lie in {}..={}, got {value}",
+                range.start(),
+                range.end()
+            )))
+        }
+    }
+
     /// Whether the switch `flag` was given.
     pub fn has(&self, flag: &str) -> bool {
         self.switches.contains(&flag)
@@ -122,6 +145,10 @@ mod tests {
 
         let parsed = Args::parse(&args(&["--kills", "many"]), FLAGS).expect("known flag");
         assert!(parsed.parsed("--kills", 8u32).unwrap_err().0.contains("--kills"));
+        let parsed = Args::parse(&args(&["--kills", "0"]), FLAGS).expect("known flag");
+        assert!(parsed.parsed_in("--kills", 8u32, 1..=9).unwrap_err().0.contains("--kills"));
+        assert_eq!(parsed.parsed_in("--kills", 8u32, 0..=9), Ok(0));
+        assert_eq!(parsed.parsed_in("--seed", 8u32, 1..=9), Ok(8), "the default is in range");
         assert!(parsed.required("--dir", "directory").unwrap_err().0.contains("--dir"));
     }
 }

@@ -24,7 +24,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use lps_hash::SeedSequence;
-use lps_registry::{MemorySpill, RegistryConfig, RegistryStats, ShardedRegistry, SketchRegistry};
+use lps_registry::{MemorySpill, RegistryConfig, SketchRegistry};
 use lps_sketch::SparseRecovery;
 use lps_stream::{Update, Zipf};
 
@@ -97,16 +97,18 @@ fn zipf_traffic(tenants: u64, updates: usize, master: u64) -> Vec<(u64, Update)>
         .collect()
 }
 
-fn finish_record(
-    scenario: &'static str,
-    tenants: u64,
-    traffic: &[(u64, Update)],
-    elapsed_ns: u128,
-    stats: &RegistryStats,
-    resident_bytes: usize,
-) -> RegistryRecord {
+fn run_single(scenario: &'static str, tenants: u64, traffic: &[(u64, Update)]) -> RegistryRecord {
+    let mut reg = SketchRegistry::new(tenant_proto(0xE15), registry_config(), MemorySpill::new());
+    let start = Instant::now();
+    for &(tenant, update) in traffic {
+        reg.route_blocking(tenant, std::slice::from_ref(&update)).expect("route");
+    }
+    reg.drain().expect("drain");
+    let elapsed_ns = start.elapsed().as_nanos().max(1);
+    assert!(reg.resident_count() <= E15_MAX_RESIDENT, "residency cap violated");
     let touched = traffic.iter().map(|&(t, _)| t).collect::<HashSet<_>>().len() as u64;
     let secs = elapsed_ns as f64 / 1e9;
+    let stats = reg.stats();
     RegistryRecord {
         scenario,
         tenants,
@@ -120,48 +122,8 @@ fn finish_record(
         materializations: stats.materializations,
         eviction_rate: stats.evictions as f64 / traffic.len() as f64,
         max_resident: E15_MAX_RESIDENT,
-        resident_bytes,
+        resident_bytes: reg.resident_bytes_estimate(),
     }
-}
-
-fn run_single(scenario: &'static str, tenants: u64, traffic: &[(u64, Update)]) -> RegistryRecord {
-    let mut reg = SketchRegistry::new(tenant_proto(0xE15), registry_config(), MemorySpill::new());
-    let start = Instant::now();
-    for &(tenant, update) in traffic {
-        reg.route_blocking(tenant, std::slice::from_ref(&update)).expect("route");
-    }
-    reg.drain().expect("drain");
-    let elapsed_ns = start.elapsed().as_nanos().max(1);
-    assert!(reg.resident_count() <= E15_MAX_RESIDENT, "residency cap violated");
-    finish_record(
-        scenario,
-        tenants,
-        traffic,
-        elapsed_ns,
-        reg.stats(),
-        reg.resident_bytes_estimate(),
-    )
-}
-
-fn run_sharded(
-    scenario: &'static str,
-    tenants: u64,
-    traffic: &[(u64, Update)],
-    shards: usize,
-) -> RegistryRecord {
-    let proto = tenant_proto(0xE15);
-    // Split the residency cap across the shards so the sharded scenario keeps
-    // the same total footprint as the single registry — and keeps evicting.
-    let config = registry_config().max_resident(E15_MAX_RESIDENT / shards);
-    let mut reg = ShardedRegistry::new(&proto, shards, config, |_| MemorySpill::new());
-    let start = Instant::now();
-    for &(tenant, update) in traffic {
-        reg.route_blocking(tenant, std::slice::from_ref(&update)).expect("route");
-    }
-    reg.drain().expect("drain");
-    let elapsed_ns = start.elapsed().as_nanos().max(1);
-    let stats = reg.stats();
-    finish_record(scenario, tenants, traffic, elapsed_ns, &stats, reg.resident_bytes_estimate())
 }
 
 /// Run the E15 suite. Quick mode routes Zipf traffic over 10^5 tenants (CI
@@ -175,13 +137,11 @@ pub fn registry_suite(quick: bool) -> Vec<RegistryRecord> {
     let tenants: u64 = 100_000;
     let traffic = zipf_traffic(tenants, updates, 0x15A);
     out.push(run_single("registry-memspill", tenants, &traffic));
-    out.push(run_sharded("registry-sharded4", tenants, &traffic, 4));
 
     if !quick {
         let tenants: u64 = 1_000_000;
         let traffic = zipf_traffic(tenants, updates, 0x15B);
         out.push(run_single("registry-memspill-1m", tenants, &traffic));
-        out.push(run_sharded("registry-sharded4-1m", tenants, &traffic, 4));
     }
     out
 }
@@ -228,8 +188,7 @@ mod tests {
     #[test]
     fn quick_suite_exercises_eviction_and_restore() {
         // a miniature run with the suite's own plumbing: traffic scaled down
-        // so the test is cheap, but tenants >> max_resident still holds per
-        // shard-level residency
+        // so the test is cheap, but tenants >> max_resident still holds
         let traffic = zipf_traffic(50_000, 30_000, 0x7E57);
         let record = run_single("registry-memspill", 50_000, &traffic);
         assert_eq!(record.updates, 30_000);

@@ -48,10 +48,9 @@ pub use kernels::{kernel_suite, kernel_table};
 pub use report::Table;
 pub use service_loopback::{feed_main, serve_main, servetest_main, SERVICE_DIM, SERVICE_SEED};
 pub use throughput::{
-    check_headline_regression, chosen_plans, engine_scaling_suite, engine_scaling_table,
-    headline_ratios, parse_headline, parse_mode, parse_runner_class, seed_baseline_advice,
-    strategy_comparison_suite, strategy_comparison_table, throughput_suite, throughput_table,
-    to_json, BenchMeta, ThroughputRecord, GATE_TOLERANCE, SEED_RUNNER_CLASS, STRATEGY_SHARDS,
+    check_headline_regression, engine_scaling_suite, engine_scaling_table, headline_ratios,
+    parse_headline, parse_mode, parse_runner_class, seed_baseline_advice, throughput_suite,
+    throughput_table, to_json, BenchMeta, ThroughputRecord, GATE_TOLERANCE, SEED_RUNNER_CLASS,
 };
 pub use workload_cli::workload_main;
 

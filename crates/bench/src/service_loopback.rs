@@ -14,7 +14,8 @@
 use std::io::BufRead;
 use std::process::{Command, Stdio};
 
-use lps_engine::{EngineBuilder, KeyRange, ShardIngest};
+use lps_engine::{EngineBuilder, ShardIngest};
+use lps_hash::MERSENNE_P;
 use lps_service::{
     CatalogPrototypes, ErrorCode, RunningServer, ServiceClient, ServiceConfig, ServiceError,
 };
@@ -35,6 +36,9 @@ const FEED_SEED: u64 = 0xFEED_5EED;
 const BATCH: usize = 1_000;
 /// Tenants the feed spreads registry traffic over.
 const TENANTS: u64 = 8;
+/// The `--dim` values `serve` and `feed` accept: the dimensions
+/// [`CatalogPrototypes::standard`] builds a catalog over.
+const DIMENSIONS: std::ops::RangeInclusive<u64> = 1..=MERSENNE_P;
 
 /// `experiments -- serve [--dim N] [--seed S] [--shards K] [--publish P]
 /// [--token T]`: bind a loopback TCP service, announce the address on
@@ -49,7 +53,7 @@ pub fn serve_main(args: &[String]) -> Result<i32, UsageError> {
         positional: false,
     };
     let args = Args::parse(args, flags)?;
-    let dim = args.parsed("--dim", SERVICE_DIM)?;
+    let dim = args.parsed_in("--dim", SERVICE_DIM, DIMENSIONS)?;
     let seed = args.parsed("--seed", SERVICE_SEED)?;
     let defaults = ServiceConfig::new(dim, seed);
     let shards = args.parsed("--shards", defaults.shards)?;
@@ -88,7 +92,7 @@ pub fn feed_main(args: &[String]) -> Result<i32, UsageError> {
     let args = Args::parse(args, flags)?;
     let addr = args.required("--addr", "host:port")?;
     let updates = args.parsed("--updates", 120_000usize)?;
-    let dim = args.parsed("--dim", SERVICE_DIM)?;
+    let dim = args.parsed_in("--dim", SERVICE_DIM, DIMENSIONS)?;
     let seed = args.parsed("--seed", SERVICE_SEED)?;
     let shutdown = args.has("--shutdown");
     Ok(match run_feed(addr, updates, dim, seed, shutdown, args.value("--token")) {
@@ -235,12 +239,16 @@ fn run_feed(
         uploaded.len()
     ));
 
-    // A key-range checkpoint must be rejected as a typed PlanMismatch
-    // error frame — and the connection must survive it.
-    let mut wrong = EngineBuilder::new(&protos.count_min).plan(KeyRange::new(dim, 2)).session();
+    // A checkpoint of the retired key-range plan — a round-robin shard
+    // whose envelope strategy byte (offset 6) reads 1 — must be rejected
+    // as a typed PlanMismatch error frame, and the connection must
+    // survive it.
+    let mut wrong = EngineBuilder::new(&protos.count_min).shards(2).session();
     wrong.ingest_blocking(&uploaded[..64.min(uploaded.len())]);
-    let wrong_buffers = wrong.checkpoint().map_err(|e| format!("key-range checkpoint: {e}"))?;
-    match client.upload_checkpoint(wrong_buffers[0].clone()) {
+    let mut wrong_buffer =
+        wrong.checkpoint().map_err(|e| format!("local checkpoint: {e}"))?.swap_remove(0);
+    wrong_buffer[6] = 1;
+    match client.upload_checkpoint(wrong_buffer) {
         Err(ServiceError::Remote { code: ErrorCode::PlanMismatch, .. }) => {}
         Ok(_) => return Err("key-range upload was accepted; expected PlanMismatch".into()),
         Err(other) => return Err(format!("key-range upload: expected PlanMismatch, got {other}")),

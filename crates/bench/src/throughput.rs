@@ -31,12 +31,11 @@
 use std::time::Instant;
 
 use lps_core::{AkoSampler, FisL0Sampler, L0Sampler, LpSampler, PrecisionLpSampler};
-use lps_engine::{parallel_ingest, partitioned_ingest, KeyRange, RoundRobin, ShardIngest};
+use lps_engine::parallel_ingest;
 use lps_hash::SeedSequence;
 use lps_heavy::CountSketchHeavyHitters;
 use lps_sketch::{
-    AmsSketch, CountMedianSketch, CountMinSketch, CountSketch, LinearSketch, PStableSketch,
-    SparseRecovery,
+    AmsSketch, CountMinSketch, CountSketch, LinearSketch, PStableSketch, SparseRecovery,
 };
 use lps_stream::{Update, DEFAULT_BATCH_SIZE};
 
@@ -53,23 +52,40 @@ pub struct ThroughputRecord {
     pub dimension: u64,
     /// Number of stream updates processed.
     pub updates: u64,
-    /// Wall-clock nanoseconds for the whole run.
+    /// Wall-clock nanoseconds for one pass over the updates (in quick
+    /// mode, the median of `QUICK_PASSES` passes).
     pub elapsed_ns: u128,
     /// Updates per second.
     pub updates_per_sec: f64,
 }
 
+/// Passes each quick-mode E13/E14 record is timed over; the record keeps
+/// the median pass. A quick pass lasts only milliseconds, so one pass that
+/// lands on a scheduler hiccup or a cold cache would otherwise move a
+/// gated headline ratio by itself. Full mode times one pass of a workload
+/// ten times larger.
+const QUICK_PASSES: usize = 5;
+
+/// Time `passes` runs of `run` over `batch` and record the median pass.
+/// Each pass continues on the state the previous one left: the update
+/// paths cost the same whatever the counter values.
 fn time_updates(
     structure: &'static str,
     mode: &'static str,
     dimension: u64,
     batch: &[Update],
+    passes: usize,
     mut run: impl FnMut(&[Update]),
 ) -> ThroughputRecord {
-    let start = Instant::now();
-    run(batch);
-    let elapsed = start.elapsed();
-    let elapsed_ns = elapsed.as_nanos().max(1);
+    let mut elapsed: Vec<u128> = (0..passes)
+        .map(|_| {
+            let start = Instant::now();
+            run(batch);
+            start.elapsed().as_nanos().max(1)
+        })
+        .collect();
+    elapsed.sort_unstable();
+    let elapsed_ns = elapsed[passes / 2];
     ThroughputRecord {
         structure,
         mode,
@@ -107,6 +123,7 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
     let light_updates: usize = if quick { 20_000 } else { 200_000 };
     let batch = workload(n, heavy_updates, 0xBE7C);
     let light = &batch[..light_updates];
+    let passes = if quick { QUICK_PASSES } else { 1 };
     let mut out = Vec::new();
 
     // --- sparse recovery (Lemma 5), the hottest kernel in the workspace ---
@@ -114,19 +131,19 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(1);
         let proto = SparseRecovery::new(n, 8, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("sparse_recovery", "reference", n, &batch, |b| {
+        out.push(time_updates("sparse_recovery", "reference", n, &batch, passes, |b| {
             for u in b {
                 a.update_reference(u.index, u.delta);
             }
         }));
         let mut b_ = proto.clone();
-        out.push(time_updates("sparse_recovery", "sequential", n, &batch, |b| {
+        out.push(time_updates("sparse_recovery", "sequential", n, &batch, passes, |b| {
             for u in b {
                 b_.update(u.index, u.delta);
             }
         }));
         let mut c = proto;
-        out.push(time_updates("sparse_recovery", "batched", n, &batch, |b| {
+        out.push(time_updates("sparse_recovery", "batched", n, &batch, passes, |b| {
             for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
                 c.process_batch(chunk);
             }
@@ -138,19 +155,19 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(2);
         let proto = L0Sampler::new(n, 0.25, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("l0_sampler", "reference", n, &batch, |b| {
+        out.push(time_updates("l0_sampler", "reference", n, &batch, passes, |b| {
             for u in b {
                 a.process_update_reference(*u);
             }
         }));
         let mut b_ = proto.clone();
-        out.push(time_updates("l0_sampler", "sequential", n, &batch, |b| {
+        out.push(time_updates("l0_sampler", "sequential", n, &batch, passes, |b| {
             for u in b {
                 b_.process_update(*u);
             }
         }));
         let mut c = proto;
-        out.push(time_updates("l0_sampler", "batched", n, &batch, |b| chunked(&mut c, b)));
+        out.push(time_updates("l0_sampler", "batched", n, &batch, passes, |b| chunked(&mut c, b)));
     }
 
     // --- FIS-style L0 baseline (shared fingerprint base across all slots) ---
@@ -158,13 +175,13 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(3);
         let proto = FisL0Sampler::new(n, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("fis_l0", "sequential", n, light, |b| {
+        out.push(time_updates("fis_l0", "sequential", n, light, passes, |b| {
             for u in b {
                 a.process_update(*u);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("fis_l0", "batched", n, light, |b| chunked(&mut b_, b)));
+        out.push(time_updates("fis_l0", "batched", n, light, passes, |b| chunked(&mut b_, b)));
     }
 
     // --- precision Lp sampler and the AKO baseline ---
@@ -172,25 +189,27 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(4);
         let proto = PrecisionLpSampler::new(n, 1.0, 0.25, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("precision_lp", "sequential", n, light, |b| {
+        out.push(time_updates("precision_lp", "sequential", n, light, passes, |b| {
             for u in b {
                 a.process_update(*u);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("precision_lp", "batched", n, light, |b| chunked(&mut b_, b)));
+        out.push(time_updates("precision_lp", "batched", n, light, passes, |b| {
+            chunked(&mut b_, b)
+        }));
     }
     {
         let mut s = SeedSequence::new(5);
         let proto = AkoSampler::new(n, 1.0, 0.25, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("ako_sampler", "sequential", n, light, |b| {
+        out.push(time_updates("ako_sampler", "sequential", n, light, passes, |b| {
             for u in b {
                 a.process_update(*u);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("ako_sampler", "batched", n, light, |b| chunked(&mut b_, b)));
+        out.push(time_updates("ako_sampler", "batched", n, light, passes, |b| chunked(&mut b_, b)));
     }
 
     // --- the plain sketches ---
@@ -198,13 +217,13 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(6);
         let proto = CountSketch::with_default_rows(n, 16, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("count_sketch", "sequential", n, &batch, |b| {
+        out.push(time_updates("count_sketch", "sequential", n, &batch, passes, |b| {
             for u in b {
                 a.update_int(*u);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("count_sketch", "batched", n, &batch, |b| {
+        out.push(time_updates("count_sketch", "batched", n, &batch, passes, |b| {
             for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
                 b_.process_batch(chunk);
             }
@@ -214,13 +233,13 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(7);
         let proto = CountMinSketch::new(n, 1024, 7, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("count_min", "sequential", n, &batch, |b| {
+        out.push(time_updates("count_min", "sequential", n, &batch, passes, |b| {
             for u in b {
                 a.update(u.index, u.delta);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("count_min", "batched", n, &batch, |b| {
+        out.push(time_updates("count_min", "batched", n, &batch, passes, |b| {
             for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
                 b_.process_batch(chunk);
             }
@@ -230,13 +249,13 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(8);
         let proto = AmsSketch::with_default_shape(n, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("ams_sketch", "sequential", n, light, |b| {
+        out.push(time_updates("ams_sketch", "sequential", n, light, passes, |b| {
             for u in b {
                 a.update_int(*u);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("ams_sketch", "batched", n, light, |b| {
+        out.push(time_updates("ams_sketch", "batched", n, light, passes, |b| {
             for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
                 b_.process_batch(chunk);
             }
@@ -246,13 +265,13 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(9);
         let proto = PStableSketch::with_default_rows(n, 1.0, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("pstable_sketch", "sequential", n, light, |b| {
+        out.push(time_updates("pstable_sketch", "sequential", n, light, passes, |b| {
             for u in b {
                 a.update_int(*u);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("pstable_sketch", "batched", n, light, |b| {
+        out.push(time_updates("pstable_sketch", "batched", n, light, passes, |b| {
             for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
                 b_.process_batch(chunk);
             }
@@ -264,13 +283,13 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(10);
         let proto = CountSketchHeavyHitters::new(n, 1.0, 0.125, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("cs_heavy_hitters", "sequential", n, light, |b| {
+        out.push(time_updates("cs_heavy_hitters", "sequential", n, light, passes, |b| {
             for u in b {
                 a.update(u.index, u.delta);
             }
         }));
         let mut b_ = proto;
-        out.push(time_updates("cs_heavy_hitters", "batched", n, light, |b| {
+        out.push(time_updates("cs_heavy_hitters", "batched", n, light, passes, |b| {
             for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
                 b_.process_batch(chunk);
             }
@@ -305,13 +324,14 @@ pub fn engine_scaling_suite(quick: bool) -> Vec<ThroughputRecord> {
     let n: u64 = 1 << 20;
     let heavy_updates: usize = if quick { 100_000 } else { 1_000_000 };
     let batch = workload(n, heavy_updates, 0xE14);
+    let passes = if quick { QUICK_PASSES } else { 1 };
     let mut out = Vec::new();
 
     {
         let mut s = SeedSequence::new(14);
         let proto = SparseRecovery::new(n, 8, &mut s);
         for shards in ENGINE_SHARD_COUNTS {
-            out.push(time_updates("sparse_recovery", shard_mode(shards), n, &batch, |b| {
+            out.push(time_updates("sparse_recovery", shard_mode(shards), n, &batch, passes, |b| {
                 let merged = parallel_ingest(&proto, b, shards);
                 std::hint::black_box(&merged);
             }));
@@ -321,145 +341,13 @@ pub fn engine_scaling_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(15);
         let proto = L0Sampler::new(n, 0.25, &mut s);
         for shards in ENGINE_SHARD_COUNTS {
-            out.push(time_updates("l0_sampler", shard_mode(shards), n, &batch, |b| {
+            out.push(time_updates("l0_sampler", shard_mode(shards), n, &batch, passes, |b| {
                 let merged = parallel_ingest(&proto, b, shards);
                 std::hint::black_box(&merged);
             }));
         }
     }
     out
-}
-
-/// The fixed shard count the E14 strategy-comparison sweep measures at
-/// (matches the headline-scaling shard count).
-pub const STRATEGY_SHARDS: usize = 4;
-
-/// Mode name of a strategy-comparison record.
-fn strategy_mode(strategy: &str) -> &'static str {
-    match strategy {
-        "round_robin" => "roundrobin-4",
-        "key_range" => "keyrange-4",
-        other => panic!("unknown strategy {other}"),
-    }
-}
-
-fn time_strategy<T: ShardIngest + 'static>(
-    structure: &'static str,
-    n: u64,
-    proto: &T,
-    batch: &[Update],
-    out: &mut Vec<ThroughputRecord>,
-) {
-    out.push(time_updates(structure, strategy_mode("round_robin"), n, batch, |b| {
-        let merged = partitioned_ingest(proto, b, RoundRobin::new(STRATEGY_SHARDS));
-        std::hint::black_box(&merged);
-    }));
-    out.push(time_updates(structure, strategy_mode("key_range"), n, batch, |b| {
-        let merged = partitioned_ingest(proto, b, KeyRange::new(n, STRATEGY_SHARDS));
-        std::hint::black_box(&merged);
-    }));
-}
-
-/// Experiment E14's strategy comparison: every exact-arithmetic engine
-/// structure pushed through the builder/session pipeline at
-/// [`STRATEGY_SHARDS`] shards under **both** shard plans — [`RoundRobin`]
-/// (replicated shards, additive merge) and [`KeyRange`] (partitioned
-/// coordinate space, disjoint-union merge). Both produce bit-identical
-/// states (pinned by the engine's equivalence tests), so the comparison is
-/// purely about throughput: round robin balances load for free, key range
-/// shrinks each shard's working set but inherits the workload's key skew.
-/// The winner per structure is stamped into `BENCH_samplers.json` as
-/// `engine_plans` (see [`chosen_plans`]).
-pub fn strategy_comparison_suite(quick: bool) -> Vec<ThroughputRecord> {
-    let n: u64 = 1 << 20;
-    let heavy_updates: usize = if quick { 100_000 } else { 1_000_000 };
-    let light_updates: usize = if quick { 20_000 } else { 200_000 };
-    let batch = workload(n, heavy_updates, 0xE14B);
-    let light = &batch[..light_updates];
-    let mut out = Vec::new();
-
-    let mut s = SeedSequence::new(20);
-    let proto = SparseRecovery::new(n, 8, &mut s);
-    time_strategy("sparse_recovery", n, &proto, &batch, &mut out);
-
-    let mut s = SeedSequence::new(21);
-    let proto = L0Sampler::new(n, 0.25, &mut s);
-    time_strategy("l0_sampler", n, &proto, &batch, &mut out);
-
-    let mut s = SeedSequence::new(22);
-    let proto = FisL0Sampler::new(n, &mut s);
-    time_strategy("fis_l0", n, &proto, light, &mut out);
-
-    let mut s = SeedSequence::new(23);
-    let proto = CountSketch::with_default_rows(n, 16, &mut s);
-    time_strategy("count_sketch", n, &proto, &batch, &mut out);
-
-    let mut s = SeedSequence::new(24);
-    let proto = CountMinSketch::new(n, 1024, 7, &mut s);
-    time_strategy("count_min", n, &proto, &batch, &mut out);
-
-    let mut s = SeedSequence::new(25);
-    let proto = CountMedianSketch::new(n, 1024, 7, &mut s);
-    time_strategy("count_median", n, &proto, light, &mut out);
-
-    let mut s = SeedSequence::new(26);
-    let proto = AmsSketch::with_default_shape(n, &mut s);
-    time_strategy("ams_sketch", n, &proto, light, &mut out);
-
-    out
-}
-
-/// The per-structure plan choice the strategy comparison measured: for each
-/// structure with both `roundrobin-4` and `keyrange-4` records, the name of
-/// the faster strategy (`"round_robin"` / `"key_range"`). Stamped into
-/// `BENCH_samplers.json` as the `engine_plans` object so deployments can
-/// pick the measured winner per structure.
-pub fn chosen_plans(records: &[ThroughputRecord]) -> Vec<(&'static str, &'static str)> {
-    let mut structures: Vec<&'static str> = Vec::new();
-    for r in records {
-        if (r.mode == "roundrobin-4" || r.mode == "keyrange-4")
-            && !structures.contains(&r.structure)
-        {
-            structures.push(r.structure);
-        }
-    }
-    structures
-        .into_iter()
-        .filter_map(|structure| {
-            let ratio = speedup(records, structure, "keyrange-4", "roundrobin-4")?;
-            Some((structure, if ratio > 1.0 { "key_range" } else { "round_robin" }))
-        })
-        .collect()
-}
-
-/// Render the strategy-comparison records: one row per (structure,
-/// strategy), with key range's speedup over round robin and the chosen plan.
-pub fn strategy_comparison_table(records: &[ThroughputRecord], host_cpus: usize) -> Table {
-    let chosen = chosen_plans(records);
-    let mut table = Table::new(
-        &format!(
-            "E14b: shard strategy comparison at {STRATEGY_SHARDS} shards (updates/sec; \
-             host_cpus = {host_cpus}; both strategies are bit-identical on these structures)"
-        ),
-        &["structure", "strategy", "updates", "updates_per_sec", "kr_vs_rr", "chosen_plan"],
-    );
-    for r in records {
-        let kr_vs_rr = speedup(records, r.structure, "keyrange-4", "roundrobin-4").unwrap_or(1.0);
-        let plan = chosen
-            .iter()
-            .find(|(s, _)| *s == r.structure)
-            .map(|(_, p)| *p)
-            .unwrap_or("round_robin");
-        table.row(&[
-            r.structure.to_string(),
-            r.mode.trim_end_matches("-4").to_string(),
-            int(r.updates),
-            f1(r.updates_per_sec),
-            format!("{kr_vs_rr:.2}"),
-            plan.to_string(),
-        ]);
-    }
-    table
 }
 
 /// Speedup of `mode_a` over `mode_b` for a structure, if both were measured.
@@ -634,15 +522,6 @@ pub fn to_json(
     out.push_str(&format!("  \"runner_class\": \"{}\",\n", json_escape(&meta.runner_class)));
     let shard_list = meta.shard_counts.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(", ");
     out.push_str(&format!("  \"engine_shard_counts\": [{shard_list}],\n"));
-    // the measured per-structure strategy winners (E14b); empty when the
-    // strategy comparison was not part of this record set
-    out.push_str("  \"engine_plans\": {\n");
-    let plans = chosen_plans(records);
-    for (i, (structure, plan)) in plans.iter().enumerate() {
-        let comma = if i + 1 == plans.len() { "" } else { "," };
-        out.push_str(&format!("    \"{structure}\": \"{plan}\"{comma}\n"));
-    }
-    out.push_str("  },\n");
     // absent (or non-finite) ratios serialize as null, never as a bare NaN
     // token that would make the whole document unparseable
     out.push_str("  \"headline\": {\n");
@@ -935,40 +814,6 @@ mod tests {
         // improvements never fail, missing keys are skipped not fatal
         let sparse_baseline = vec![("l0_sampler_batched_vs_reference".to_string(), 1.0)];
         assert!(check_headline_regression(&fresh, &sparse_baseline, GATE_TOLERANCE).is_ok());
-    }
-
-    #[test]
-    fn chosen_plans_pick_the_faster_strategy_and_stamp_into_json() {
-        let rec = |structure: &'static str, mode: &'static str, rate: f64| ThroughputRecord {
-            structure,
-            mode,
-            dimension: 1 << 10,
-            updates: 100,
-            elapsed_ns: 1,
-            updates_per_sec: rate,
-        };
-        let records = vec![
-            rec("sparse_recovery", "roundrobin-4", 100.0),
-            rec("sparse_recovery", "keyrange-4", 150.0),
-            rec("count_min", "roundrobin-4", 200.0),
-            rec("count_min", "keyrange-4", 180.0),
-            rec("count_min", "sequential", 500.0), // unrelated mode is ignored
-        ];
-        assert_eq!(
-            chosen_plans(&records),
-            vec![("sparse_recovery", "key_range"), ("count_min", "round_robin")]
-        );
-        let meta = BenchMeta {
-            git_commit: "abc".to_string(),
-            host_cpus: 1,
-            shard_counts: vec![1, 2, 4, 8],
-            runner_class: "x".to_string(),
-        };
-        let json = to_json(&records, &[], true, &meta);
-        assert!(json.contains("\"engine_plans\": {"));
-        assert!(json.contains("\"sparse_recovery\": \"key_range\""));
-        assert!(json.contains("\"count_min\": \"round_robin\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The `experiments` command line refuses what it does not know: an unknown
 //! experiment id or flag exits with code 2 and names the argument before
 //! any experiment runs, so a mistyped id cannot pass as an empty success.
-//! Subcommands do the same for an unknown flag and for a bad or missing
-//! value, instead of panicking or running without the flag.
+//! Subcommands do the same for an unknown flag and for a bad, out-of-range
+//! or missing value, instead of panicking or running without the flag.
 
 use std::process::Command;
 
@@ -42,6 +42,10 @@ fn subcommands_refuse_unknown_flags_and_bad_or_missing_values_naming_the_argumen
         .contains("unknown flag `--shard`"));
     assert!(refusal(&["feed", "--addr", "127.0.0.1:1", "--update", "5"])
         .contains("unknown flag `--update`"));
+    // values that parse but lie outside what the run can take
+    assert!(refusal(&["checkpoint", "--dir", dir_arg, "--shards", "0"]).contains("--shards"));
+    assert!(refusal(&["checkpoint", "--dir", dir_arg, "--shards", "65536"]).contains("--shards"));
+    assert!(refusal(&["serve", "--dim", "0"]).contains("--dim"));
     let wrote = dir.exists();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!wrote, "a refused checkpoint wrote {}", dir.display());

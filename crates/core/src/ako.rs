@@ -65,22 +65,6 @@ impl AkoSampler {
     fn scaling_factor(&self, index: u64) -> f64 {
         self.scaling.unit_interval(index)
     }
-
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone. Both inner sketches hold dense `f64` counters, so sharding
-    /// this sampler is approximate (estimator-level drift); the engine
-    /// requires an explicit approximate-tolerance plan to drive it.
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        lps_sketch::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge of a sibling shard with a disjoint key range;
-    /// coincides with [`Mergeable::merge_from`] on both inner sketches.
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        Mergeable::merge_from(self, other);
-    }
 }
 
 impl LpSampler for AkoSampler {

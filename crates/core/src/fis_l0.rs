@@ -85,29 +85,6 @@ impl FisL0Sampler {
         included(level, || slot.inclusion.hash(index))
     }
 
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone (slot shape depends on `n` only through the level/repetition
-    /// counts; exact recombination needs the same inclusion hashes and
-    /// fingerprint powers at global coordinates).
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        lps_sketch::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge: absorb a sibling shard whose ingested key range
-    /// was disjoint from ours. Bit-identical to [`Mergeable::merge_from`]
-    /// (cell merges are field/integer addition and an all-zero cell merge is
-    /// a bitwise no-op), skipping slots the sibling never touched.
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        assert_eq!(self.slots.len(), other.slots.len(), "slot-count mismatch");
-        for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
-            if !b.cell.is_zero() {
-                a.cell.merge_from(&b.cell);
-            }
-        }
-    }
-
     /// Apply already-coalesced `(index, delta)` entries (distinct indices,
     /// as [`lps_stream::coalesce_updates`] returns them): compute each
     /// entry's fingerprint term once (lane-parallel, via

@@ -237,32 +237,6 @@ impl L0Sampler {
         self.recover_first_nonzero().map(|(k, _)| k)
     }
 
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone. Level count and per-level recovery shapes depend on `n` and
-    /// the failure budget, not on which coordinates a shard will see, and
-    /// exact recombination requires evaluating the same membership hashes
-    /// and fingerprints at global coordinates — so restriction constrains
-    /// the shard's stream, while the per-level cells it touches shrink with
-    /// the range.
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        lps_sketch::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge: absorb a sibling shard whose ingested key range
-    /// was disjoint from ours. Bit-identical to [`Mergeable::merge_from`]
-    /// (merging an all-zero cell is a bitwise no-op), but each level's cells
-    /// go through [`SparseRecovery::merge_disjoint`] so buckets the sibling
-    /// never populated are skipped — under key-range partitioning the deeper
-    /// (sparser) levels skip almost everything.
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        assert_eq!(self.levels.len(), other.levels.len(), "level-count mismatch");
-        for (a, b) in self.levels.iter_mut().zip(other.levels.iter()) {
-            a.recovery.merge_disjoint(&b.recovery);
-        }
-    }
-
     /// Apply already-coalesced `(index, delta)` entries (distinct indices,
     /// as [`lps_stream::coalesce_updates`] returns them): evaluate the shared
     /// membership hash once per distinct index, and feed every level's

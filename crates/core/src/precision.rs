@@ -148,24 +148,6 @@ impl PrecisionLpSampler {
         let s = diff.l2_upper_estimate();
         RecoveryState { best_index: best_i, best_zstar: zstar[best_i as usize], r, s }
     }
-
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone. All three inner sketches hold dense `f64` counters, so a
-    /// key-range recombination reassociates floating-point sums — sharding
-    /// this sampler is approximate (estimator-level drift, see the
-    /// `merge_from` bound) and the engine requires an explicit
-    /// approximate-tolerance plan to drive it.
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        lps_sketch::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge of a sibling shard with a disjoint key range;
-    /// coincides with [`Mergeable::merge_from`] on all three inner sketches.
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        Mergeable::merge_from(self, other);
-    }
 }
 
 /// The intermediate quantities of the recovery stage (step 1–4 of Figure 1).

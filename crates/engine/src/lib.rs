@@ -1,31 +1,24 @@
 //! # lps-engine
 //!
-//! A multi-threaded sharded ingestion engine built on sketch mergeability,
-//! with pluggable shard partitioning.
+//! A multi-threaded sharded ingestion engine built on sketch mergeability.
 //!
 //! Every structure in this workspace maintains `L(x)` for a linear map `L`,
 //! so `sketch(A ++ B) == merge(sketch(A), sketch(B))` whenever both sides
 //! use the same seeds. The engine exploits exactly that identity for
-//! multi-core scaling, and decomposes it into two orthogonal choices:
-//!
-//! * **How the stream is partitioned** — a [`ShardPlan`] strategy.
-//!   [`RoundRobin`] deals dispatch batches to identically-seeded replicas
-//!   in rotation and recombines by addition; [`KeyRange`] gives each shard
-//!   a contiguous slice of the coordinate space (via
-//!   [`ShardIngest::restrict_domain`]), routes updates by coordinate, and
-//!   recombines by disjoint union ([`ShardIngest::merge_disjoint`]). For
-//!   the exact-arithmetic structures **both** strategies reproduce the
-//!   sequential state bit for bit.
-//! * **How updates reach the workers** — an [`IngestSession`] built by
-//!   [`EngineBuilder`]: [`IngestSession::ingest_blocking`] stages updates
-//!   and hands each full batch to its worker's bounded channel, parking
-//!   while that channel is full; an in-memory [`IngestSession::snapshot`]
-//!   reads the live state, and a terminal [`IngestSession::seal`] returns
-//!   the merged structure. Linearity means each shard only needs its own
-//!   batches in order, so that one blocking path is all delivery takes.
+//! multi-core scaling: an [`IngestSession`] built by [`EngineBuilder`]
+//! deals dispatch batches to identically-seeded replicas in rotation (the
+//! [`RoundRobin`] plan) and recombines them by addition in a fixed binary
+//! tree. [`IngestSession::ingest_blocking`] stages updates and hands each
+//! full batch to the next worker's bounded channel, parking while that
+//! channel is full; an in-memory [`IngestSession::snapshot`] reads the live
+//! state, and a terminal [`IngestSession::seal`] returns the merged
+//! structure. Linearity means each shard only needs its own batches in
+//! order, so that one blocking path is all delivery takes — and since any
+//! partition of a stream merges to the same state, dealing batches in
+//! rotation is as good a partition as any.
 //!
 //! ```
-//! use lps_engine::{EngineBuilder, KeyRange, RoundRobin};
+//! use lps_engine::EngineBuilder;
 //! use lps_hash::SeedSequence;
 //! use lps_sketch::{Mergeable, SparseRecovery};
 //! use lps_stream::Update;
@@ -37,15 +30,10 @@
 //! let mut sequential = proto.clone();
 //! sequential.process_batch(&updates);
 //!
-//! // replicated shards, additive merge …
-//! let mut rr = EngineBuilder::new(&proto).shards(4).session();
-//! rr.ingest_blocking(&updates);
-//! assert_eq!(rr.seal().unwrap().state_digest(), sequential.state_digest());
-//!
-//! // … or partitioned coordinate space, disjoint-union merge: same bits
-//! let mut kr = EngineBuilder::new(&proto).plan(KeyRange::new(1 << 12, 4)).session();
-//! kr.ingest_blocking(&updates);
-//! assert_eq!(kr.seal().unwrap().state_digest(), sequential.state_digest());
+//! // replicated shards, additive merge: the same bits
+//! let mut session = EngineBuilder::new(&proto).shards(4).session();
+//! session.ingest_blocking(&updates);
+//! assert_eq!(session.seal().unwrap().state_digest(), sequential.state_digest());
 //! ```
 //!
 //! ## Exact and approximate sharding
@@ -53,8 +41,8 @@
 //! The structures whose counters use integer or field arithmetic (sparse
 //! recovery, both L0 samplers, count-sketch, count-min, count-median, AMS)
 //! merge **exactly**: any partition of the stream recombines to the
-//! sequential state bit for bit, under either plan, pinned by the
-//! equivalence tests via [`Mergeable::state_digest`].
+//! sequential state bit for bit, pinned by the equivalence tests via
+//! [`Mergeable::state_digest`].
 //!
 //! Floating-point structures (the p-stable sketch, the precision/AKO
 //! samplers and both heavy-hitter drivers) are linear only up to rounding:
@@ -63,22 +51,21 @@
 //! each shard leaves only the k-way merge reassociation) documented on
 //! their `merge_from` impls. They
 //! are shardable too, but only behind an explicit opt-in: the plan must
-//! carry [`Tolerance::Approximate`] ([`RoundRobin::approximate`] /
-//! [`KeyRange::approximate`]), otherwise the session refuses to build.
+//! carry [`Tolerance::Approximate`] ([`RoundRobin::approximate`]),
+//! otherwise the session refuses to build.
 //!
 //! ## Checkpoint / restore and cross-process merging
 //!
 //! [`IngestSession::checkpoint`] serializes each shard behind a plan
-//! envelope (strategy, tolerance, shard index/count, owned key range) ahead
-//! of the versioned `Persist` payload; [`EngineBuilder::resume`] re-animates
-//! a session after validating the envelope against the resuming plan — a
-//! key-range checkpoint offered to a round-robin resume is rejected with
-//! [`DecodeError::PlanMismatch`] before any counter is decoded.
-//! [`merge_checkpointed`] recombines shard buffers produced by *different OS
-//! processes* under the strategy stamped in their envelopes. Bytes are for
-//! crossing a process boundary: to read a live session's merged state in
-//! the same process, [`IngestSession::snapshot`] merges clones of the
-//! shards in memory.
+//! envelope (strategy, tolerance, shard index/count) ahead of the
+//! versioned `Persist` payload; [`EngineBuilder::resume`] re-animates a
+//! session after validating the envelope against the resuming plan, and
+//! [`merge_checkpointed`] recombines shard buffers produced by *different
+//! OS processes*. Checkpoints of the retired key-range plan are refused by
+//! both (and by [`read_envelope`]) with [`DecodeError::PlanMismatch`]
+//! before any counter is decoded. Bytes are for crossing a process
+//! boundary: to read a live session's merged state in the same process,
+//! [`IngestSession::snapshot`] merges clones of the shards in memory.
 //!
 //! ## When parallel beats batched
 //!
@@ -87,12 +74,9 @@
 //! amortised over `batch_size`-sized batches). Sparse recovery and the L0
 //! sampler touch `O(rows)` / `O(rows · levels)` cells per update, so they
 //! scale; a bare count-min row update is so cheap that single-threaded
-//! batching stays competitive until batches get large. Round robin balances
-//! load for free but replicates every shard's working set; key-range shards
-//! touch only the cells their own range hashes to (smaller effective cache
-//! footprint) but inherit the stream's key skew. Experiment E14 measures
-//! both per structure and stamps the winner into `BENCH_samplers.json`.
-//! Throughput scales with *physical* cores either way.
+//! batching stays competitive until batches get large. Experiment E14
+//! measures the scaling per shard count and stamps it into
+//! `BENCH_samplers.json`. Throughput scales with *physical* cores.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -101,8 +85,8 @@ mod plan;
 mod session;
 
 pub use plan::{
-    read_envelope, KeyRange, PlanEnvelope, PlanStrategy, RoundRobin, ShardPlan, Tolerance,
-    ENVELOPE_HEADER_LEN, ENVELOPE_MAGIC, ENVELOPE_VERSION,
+    read_envelope, PlanEnvelope, RoundRobin, Tolerance, ENVELOPE_HEADER_LEN, ENVELOPE_MAGIC,
+    ENVELOPE_VERSION,
 };
 pub use session::{EngineBuilder, IngestSession};
 
@@ -145,15 +129,14 @@ use lps_sketch::{
 };
 use lps_stream::Update;
 
-use plan::tree_merge_with;
+use plan::{checkpoint_payloads, tree_merge};
 
 /// A structure the sharded engine can drive: cloneable (identically-seeded
-/// clones), mergeable, batch-ingestible, and partitionable by key range.
+/// clones), mergeable, and batch-ingestible.
 ///
 /// [`ShardIngest::TOLERANCE`] declares the structure's merge-fidelity class.
 /// `Exact` implementors guarantee that batch ingestion plus
-/// [`Mergeable::merge_from`] (equivalently [`ShardIngest::merge_disjoint`]
-/// under disjoint supports) is **bit-exact**: for any partition of an
+/// [`Mergeable::merge_from`] is **bit-exact**: for any partition of an
 /// integer update stream across identically-seeded clones, merging the shard
 /// states reproduces, bit for bit, the state of one clone ingesting the
 /// whole stream sequentially. `Approximate` implementors (dense `f64`
@@ -166,27 +149,6 @@ pub trait ShardIngest: Mergeable + Clone + Send {
 
     /// Ingest a batch of updates through the structure's fast path.
     fn ingest_batch(&mut self, updates: &[Update]);
-
-    /// Build the shard structure owning the key range `range` for key-range
-    /// partitioned ingestion. Implementations validate the range against
-    /// their dimension and return an identically-seeded zero-state clone —
-    /// the hash-compressed state shape is domain-independent, and exact
-    /// recombination requires evaluating the same random functions at
-    /// global coordinates; the restriction constrains which updates the
-    /// shard sees (and with it the shard's working set).
-    fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        let _ = range;
-        self.clone()
-    }
-
-    /// Absorb a sibling shard whose ingested key range was disjoint from
-    /// ours. For linear structures the disjoint union coincides with
-    /// addition, so the default delegates to [`Mergeable::merge_from`];
-    /// implementors override it to skip state the sibling never touched
-    /// (bit-identical either way).
-    fn merge_disjoint(&mut self, other: &Self) {
-        self.merge_from(other);
-    }
 }
 
 macro_rules! shard_ingest {
@@ -197,14 +159,6 @@ macro_rules! shard_ingest {
             fn ingest_batch(&mut self, updates: &[Update]) {
                 let ingest: fn(&mut $ty, &[Update]) = $ingest;
                 ingest(self, updates);
-            }
-
-            fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-                <$ty>::restrict_domain(self, range)
-            }
-
-            fn merge_disjoint(&mut self, other: &Self) {
-                <$ty>::merge_disjoint(self, other);
             }
         }
     };
@@ -267,40 +221,16 @@ pub(crate) fn decode_compatible_shards<T: Persist, B: AsRef<[u8]>>(
 /// the concatenation of every shard's stream: the cross-process counterpart
 /// of [`IngestSession::seal`].
 ///
-/// The strategy stamped in the envelopes decides the combine operation —
-/// additive tree merge for round-robin checkpoints, disjoint union for
-/// key-range checkpoints — after validating that all buffers agree on
-/// strategy and shard count, arrive in shard order, and (for key ranges)
-/// tile the space with their stamped bounds. Seed compatibility is
-/// byte-compared across payloads before any counter decodes. For the
-/// exact-arithmetic structures the result is bit-identical — digest for
-/// digest — to sequential single-process ingestion of the whole stream.
+/// Validates that all buffers carry the round-robin strategy and one
+/// tolerance marker and arrive complete and in shard order; seed
+/// compatibility is byte-compared across payloads before any counter
+/// decodes. The states then tree-merge in the same association as
+/// [`IngestSession::seal`]. For the exact-arithmetic structures the result
+/// is bit-identical — digest for digest — to sequential single-process
+/// ingestion of the whole stream.
 pub fn merge_checkpointed<T: ShardIngest + Persist>(encoded: &[Vec<u8>]) -> Result<T, DecodeError> {
-    if encoded.is_empty() {
-        return Err(DecodeError::Corrupt { context: "need at least one encoded shard" });
-    }
-    let (reference, _) = read_envelope(&encoded[0])?;
-    let mut payloads = Vec::with_capacity(encoded.len());
-    let mut previous_end = None;
-    for (i, bytes) in encoded.iter().enumerate() {
-        let (envelope, payload) = read_envelope(bytes)?;
-        plan::check_envelope(&envelope, reference.strategy, reference.tolerance, i, encoded.len())?;
-        if let Some(range) = &envelope.range {
-            // key-range shards must tile the space contiguously
-            if previous_end.is_some_and(|end| end != range.start) {
-                return Err(DecodeError::Corrupt {
-                    context: "key-range shards do not tile the coordinate space",
-                });
-            }
-            previous_end = Some(range.end);
-        }
-        payloads.push(payload);
-    }
-    let states = decode_compatible_shards::<T, _>(&payloads)?;
-    Ok(match reference.strategy {
-        PlanStrategy::RoundRobin => tree_merge_with(states, Mergeable::merge_from),
-        PlanStrategy::KeyRange => tree_merge_with(states, T::merge_disjoint),
-    })
+    let payloads = checkpoint_payloads(encoded, None)?;
+    Ok(tree_merge(decode_compatible_shards::<T, _>(&payloads)?))
 }
 
 /// One-shot convenience: shard `updates` across `shards` identically-seeded
@@ -321,22 +251,6 @@ pub fn parallel_ingest<T: ShardIngest + 'static>(
     shards: usize,
 ) -> T {
     let mut session = EngineBuilder::new(prototype).shards(shards).session();
-    session.ingest_blocking(updates);
-    session.seal().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// One-shot convenience: shard `updates` under an explicit plan and return
-/// the merged result. The plan decides partitioning *and* recombination.
-///
-/// # Panics
-///
-/// If a worker panics mid-ingest (see [`parallel_ingest`]).
-pub fn partitioned_ingest<T: ShardIngest + 'static, P: ShardPlan>(
-    prototype: &T,
-    updates: &[Update],
-    plan: P,
-) -> T {
-    let mut session = EngineBuilder::new(prototype).plan(plan).session();
     session.ingest_blocking(updates);
     session.seal().unwrap_or_else(|e| panic!("{e}"))
 }
@@ -371,12 +285,6 @@ mod tests {
                 "digest mismatch at {shards} shards"
             );
             assert_eq!(merged.recover(), sequential.recover());
-            let partitioned = partitioned_ingest(&proto, &updates, KeyRange::new(1 << 12, shards));
-            assert_eq!(
-                partitioned.state_digest(),
-                sequential.state_digest(),
-                "key-range digest mismatch at {shards} shards"
-            );
         }
     }
 
@@ -414,8 +322,6 @@ mod tests {
         let proto = AmsSketch::with_default_shape(256, &mut seeds);
         let merged = parallel_ingest(&proto, &[], 4);
         assert_eq!(merged.state_digest(), proto.state_digest());
-        let partitioned = partitioned_ingest(&proto, &[], KeyRange::new(256, 4));
-        assert_eq!(partitioned.state_digest(), proto.state_digest());
     }
 
     #[test]

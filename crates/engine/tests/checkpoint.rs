@@ -1,12 +1,13 @@
 //! Checkpoint / restore / cross-process-merge equivalence for the engine:
 //! every path through the plan-aware envelope codec must land on the same
 //! bits as single-process sequential ingestion, and a checkpoint taken
-//! under one shard plan must never be silently recombined under another.
+//! under another plan (the retired key-range strategy, or a different
+//! tolerance) must never be silently recombined.
 
 use lps_core::L0Sampler;
 use lps_engine::{
-    merge_checkpointed, parallel_ingest, read_envelope, EngineBuilder, KeyRange, PlanStrategy,
-    RoundRobin, Tolerance,
+    merge_checkpointed, parallel_ingest, read_envelope, EngineBuilder, IngestSession, RoundRobin,
+    Tolerance,
 };
 use lps_hash::SeedSequence;
 use lps_sketch::{
@@ -14,6 +15,15 @@ use lps_sketch::{
     Mergeable, PStableSketch, Persist, SparseRecovery,
 };
 use lps_stream::Update;
+
+/// Offset of the strategy byte in a checkpoint envelope.
+const STRATEGY_BYTE: usize = 6;
+
+/// Stamp a checkpoint buffer with the retired key-range strategy tag.
+fn as_key_range(mut buffer: Vec<u8>) -> Vec<u8> {
+    buffer[STRATEGY_BYTE] = 1;
+    buffer
+}
 
 fn workload(n: u64, len: usize, seed: u64) -> Vec<Update> {
     let mut s = SeedSequence::new(seed);
@@ -44,16 +54,6 @@ fn checkpointed_shards_merge_to_the_sequential_digest_under_both_plans() {
             sequential.state_digest(),
             "round-robin digest mismatch at {shards} shards"
         );
-
-        let mut session = EngineBuilder::new(&proto).plan(KeyRange::new(1 << 12, shards)).session();
-        session.ingest_blocking(&updates);
-        let encoded = session.checkpoint().unwrap();
-        let merged: SparseRecovery = merge_checkpointed(&encoded).expect("key-range merge");
-        assert_eq!(
-            merged.state_digest(),
-            sequential.state_digest(),
-            "key-range digest mismatch at {shards} shards"
-        );
         assert_eq!(merged.recover(), sequential.recover());
     }
 }
@@ -67,25 +67,11 @@ fn resume_continues_exactly_where_the_checkpoint_stopped() {
     let mut sequential = proto.clone();
     sequential.process_batch(&updates);
 
-    // round robin, through the builder/session checkpoint surface
-    let merged = {
-        let mut session = EngineBuilder::new(&proto).shards(3).batch_size(128).session();
-        session.ingest_blocking(first_half);
-        let encoded = session.checkpoint().unwrap();
-        let mut resumed: lps_engine::IngestSession<CountMinSketch, RoundRobin> =
-            EngineBuilder::new(&proto).shards(3).batch_size(128).resume(&encoded).expect("resume");
-        resumed.ingest_blocking(second_half);
-        resumed.seal().unwrap()
-    };
-    assert_eq!(merged.state_digest(), sequential.state_digest());
-
-    // key range, through the builder/session surface
-    let plan = KeyRange::new(1 << 10, 3);
-    let mut session = EngineBuilder::new(&proto).plan(plan.clone()).batch_size(128).session();
+    let mut session = EngineBuilder::new(&proto).shards(3).batch_size(128).session();
     session.ingest_blocking(first_half);
     let encoded = session.checkpoint().unwrap();
-    let mut resumed =
-        EngineBuilder::new(&proto).plan(plan).batch_size(128).resume(&encoded).expect("resume");
+    let mut resumed: IngestSession<CountMinSketch> =
+        EngineBuilder::new(&proto).shards(3).batch_size(128).resume(&encoded).expect("resume");
     resumed.ingest_blocking(second_half);
     assert_eq!(resumed.seal().unwrap().state_digest(), sequential.state_digest());
 }
@@ -102,21 +88,10 @@ fn merge_checkpointed_covers_every_exact_structure() {
             let mut sequential = proto.clone();
             let ingest: fn(&mut $ty, &[Update]) = $ingest;
             ingest(&mut sequential, &updates);
-            for encoded in [
-                {
-                    let mut s = EngineBuilder::new(&proto).shards(4).session();
-                    s.ingest_blocking(&updates);
-                    s.checkpoint().unwrap()
-                },
-                {
-                    let mut s = EngineBuilder::new(&proto).plan(KeyRange::new(n, 4)).session();
-                    s.ingest_blocking(&updates);
-                    s.checkpoint().unwrap()
-                },
-            ] {
-                let merged: $ty = merge_checkpointed(&encoded).expect("merge");
-                assert_eq!(merged.state_digest(), sequential.state_digest());
-            }
+            let mut s = EngineBuilder::new(&proto).shards(4).session();
+            s.ingest_blocking(&updates);
+            let merged: $ty = merge_checkpointed(&s.checkpoint().unwrap()).expect("merge");
+            assert_eq!(merged.state_digest(), sequential.state_digest());
         }};
     }
 
@@ -136,35 +111,38 @@ fn merge_checkpointed_covers_every_exact_structure() {
     });
 }
 
+/// A checkpoint of the retired key-range plan (here a round-robin
+/// checkpoint whose strategy byte reads 1) is refused by every reader —
+/// `read_envelope`, `resume` and `merge_checkpointed` — as a typed plan
+/// mismatch, before any counter decodes.
 #[test]
 fn key_range_checkpoint_cannot_be_resumed_round_robin() {
     let mut seeds = SeedSequence::new(7);
     let proto = SparseRecovery::new(1 << 10, 6, &mut seeds);
     let updates = workload(1 << 10, 2000, 8);
 
-    let mut session = EngineBuilder::new(&proto).plan(KeyRange::new(1 << 10, 3)).session();
+    let mut session = EngineBuilder::new(&proto).shards(3).session();
     session.ingest_blocking(&updates);
     let encoded = session.checkpoint().unwrap();
+    let key_range: Vec<Vec<u8>> = encoded.iter().cloned().map(as_key_range).collect();
+    let mismatch = DecodeError::PlanMismatch { expected: "round_robin", found: "key_range" };
 
-    // the envelope stamps the producing strategy…
-    let (envelope, _) = read_envelope(&encoded[0]).expect("read envelope");
-    assert_eq!(envelope.strategy, PlanStrategy::KeyRange);
-    assert_eq!(envelope.tolerance, Tolerance::Exact);
-    assert_eq!(envelope.shard_count, 3);
-    assert!(envelope.range.is_some());
+    // the envelope reader names the retired strategy…
+    assert_eq!(read_envelope(&key_range[0]).expect_err("strategy byte 1"), mismatch);
 
     // …so a round-robin resume is rejected as typed, not absorbed
-    let err = EngineBuilder::<SparseRecovery, _>::new(&proto)
+    let err = EngineBuilder::<SparseRecovery>::new(&proto)
         .shards(3)
-        .resume(&encoded)
+        .resume(&key_range)
         .expect_err("key-range checkpoint must not resume round-robin");
-    assert_eq!(err, DecodeError::PlanMismatch { expected: "round_robin", found: "key_range" });
+    assert_eq!(err, mismatch);
+    assert_eq!(merge_checkpointed::<SparseRecovery>(&key_range).expect_err("nor merge"), mismatch);
 
-    // and the right plan accepts it
-    let resumed = EngineBuilder::new(&proto)
-        .plan(KeyRange::new(1 << 10, 3))
-        .resume(&encoded)
-        .expect("matching plan resumes");
+    // and the unmodified round-robin checkpoint resumes
+    let (envelope, _) = read_envelope(&encoded[0]).expect("read envelope");
+    assert_eq!(envelope.tolerance, Tolerance::Exact);
+    assert_eq!(envelope.shard_count, 3);
+    let resumed = EngineBuilder::new(&proto).shards(3).resume(&encoded).expect("resumes");
     let _ = resumed.seal().unwrap();
 }
 
@@ -182,7 +160,7 @@ fn approximate_checkpoint_cannot_be_resumed_under_an_exact_plan() {
 
     // a default (exact) resume would panic at session spawn for a float
     // structure — the envelope's tolerance marker rejects it as typed first
-    let err = EngineBuilder::<PStableSketch, _>::new(&proto)
+    let err = EngineBuilder::<PStableSketch>::new(&proto)
         .shards(2)
         .resume(&encoded)
         .expect_err("approximate checkpoint must not resume under an exact plan");
@@ -205,22 +183,20 @@ fn resume_rejects_disagreeing_key_ranges_and_mixed_strategies() {
     let proto = SparseRecovery::new(1 << 10, 6, &mut seeds);
     let updates = workload(1 << 10, 2000, 10);
 
-    let mut session = EngineBuilder::new(&proto).plan(KeyRange::new(1 << 10, 2)).session();
+    let mut session = EngineBuilder::new(&proto).shards(2).session();
     session.ingest_blocking(&updates);
     let encoded = session.checkpoint().unwrap();
 
-    // same strategy, different boundaries: rejected before decoding counters
-    let err = EngineBuilder::<SparseRecovery, _>::new(&proto)
-        .plan(KeyRange::with_bounds(vec![0, 17, 1 << 10]))
+    // same strategy, a plan disagreeing on the partition (its shard
+    // count): rejected before decoding counters
+    let err = EngineBuilder::<SparseRecovery>::new(&proto)
+        .shards(3)
         .resume(&encoded)
-        .expect_err("boundary disagreement must be rejected");
+        .expect_err("shard-count disagreement must be rejected");
     assert!(matches!(err, DecodeError::Corrupt { .. }));
 
     // mixing strategies inside one checkpoint set: rejected by the merge
-    let mut rr = EngineBuilder::new(&proto).shards(2).session();
-    rr.ingest_blocking(&updates);
-    let rr_encoded = rr.checkpoint().unwrap();
-    let mixed = vec![encoded[0].clone(), rr_encoded[1].clone()];
+    let mixed = vec![encoded[0].clone(), as_key_range(encoded[1].clone())];
     let err = merge_checkpointed::<SparseRecovery>(&mixed)
         .expect_err("mixed strategies must be rejected");
     assert!(matches!(err, DecodeError::PlanMismatch { .. }));

@@ -1,9 +1,8 @@
 //! A genuine cross-OS-process test of the persistence layer: the parent
 //! test re-executes its own test binary as a **child process** that ingests
 //! shards and writes their encoded states to disk; the parent then reads the
-//! files, merges them with [`merge_checkpointed`] (under the shard plan
-//! stamped in each envelope — one structure travels as a key-range
-//! checkpoint, the other as round robin), and digest-compares against
+//! files, merges them with [`merge_checkpointed`] (after validating the
+//! shard plan stamped in each envelope), and digest-compares against
 //! sequential ingestion computed independently on its side.
 //!
 //! Both processes derive the workload and seeds from fixed constants, so the
@@ -13,7 +12,7 @@
 //! public CLI.)
 
 use lps_core::{L0Sampler, LpSampler};
-use lps_engine::{merge_checkpointed, EngineBuilder, KeyRange};
+use lps_engine::{merge_checkpointed, EngineBuilder};
 use lps_hash::SeedSequence;
 use lps_sketch::{Mergeable, SparseRecovery};
 use lps_stream::Update;
@@ -54,9 +53,9 @@ fn child_writes_shard_files() {
     let updates = workload();
     let (sparse, l0) = prototypes();
 
-    // the sparse-recovery shards travel as a key-range checkpoint, the L0
-    // shards as round robin: both plan envelopes cross the process boundary
-    let mut session = EngineBuilder::new(&sparse).plan(KeyRange::new(DIMENSION, SHARDS)).session();
+    // both structures' shards cross the process boundary behind their plan
+    // envelopes
+    let mut session = EngineBuilder::new(&sparse).shards(SHARDS).session();
     session.ingest_blocking(&updates);
     for (i, buf) in session.checkpoint().unwrap().iter().enumerate() {
         std::fs::write(dir.join(format!("sparse.shard-{i}.lps")), buf).expect("write shard");

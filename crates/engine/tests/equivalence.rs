@@ -1,19 +1,15 @@
 //! Parallel-vs-sequential equivalence, pinned at the bit level for every
-//! exact-arithmetic structure the engine supports, under **both** shard
-//! plans: for any update stream and any shard count, sharded ingestion
-//! followed by the plan's recombination must reproduce the sequential state
-//! digest exactly — round robin through the additive tree merge, key range
-//! through the disjoint union. This three-way identity (sequential ==
-//! round-robin == key-range) is the contract that makes the partitioning
-//! strategy a pure performance choice: it changes wall-clock time and cache
-//! behavior and nothing else.
+//! exact-arithmetic structure the engine supports: for any update stream
+//! and any shard count, round-robin ingestion followed by the additive tree
+//! merge must reproduce the sequential state digest exactly. This identity (sequential == sharded) is the contract
+//! that makes the shard count a pure performance choice: it changes
+//! wall-clock time and nothing else.
 
 use lps_core::{FisL0Sampler, L0Sampler, LpSampler};
-use lps_engine::{parallel_ingest, EngineBuilder, KeyRange, ShardIngest};
+use lps_engine::{parallel_ingest, EngineBuilder, ShardIngest};
 use lps_hash::SeedSequence;
 use lps_sketch::{
-    AmsSketch, CountMedianSketch, CountMinSketch, CountSketch, LinearSketch, Mergeable,
-    SparseRecovery,
+    AmsSketch, CountMedianSketch, CountMinSketch, CountSketch, LinearSketch, SparseRecovery,
 };
 use lps_stream::Update;
 use proptest::prelude::*;
@@ -28,9 +24,9 @@ fn to_updates(updates: &[(u64, i64)]) -> Vec<Update> {
     updates.iter().map(|&(i, d)| Update::new(i, d)).collect()
 }
 
-/// Sequential ingestion state vs session state under both plans at `shards`
-/// shards, bit-compared through the state digest.
-fn assert_plans_equal_sequential<T, F>(
+/// Sequential ingestion state vs session state at `shards` shards,
+/// bit-compared through the state digest.
+fn assert_sharded_equals_sequential<T, F>(
     proto: &T,
     sequential_ingest: F,
     ups: &[Update],
@@ -51,16 +47,6 @@ fn assert_plans_equal_sequential<T, F>(
         sequential.state_digest(),
         "round-robin state diverged from sequential at {shards} shards"
     );
-
-    let mut key_range =
-        EngineBuilder::new(proto).plan(KeyRange::new(DIM, shards)).batch_size(37).session();
-    key_range.ingest_blocking(ups);
-    let key_range = key_range.seal().unwrap();
-    assert_eq!(
-        key_range.state_digest(),
-        sequential.state_digest(),
-        "key-range state diverged from sequential at {shards} shards"
-    );
 }
 
 proptest! {
@@ -70,54 +56,54 @@ proptest! {
     fn sparse_recovery_equivalence(ups in updates_strategy(200), shards in 1usize..6, seed in any::<u64>()) {
         let mut seeds = SeedSequence::new(seed);
         let proto = SparseRecovery::new(DIM, 6, &mut seeds);
-        assert_plans_equal_sequential(&proto, |s, u| s.process_batch(u), &to_updates(&ups), shards);
+        assert_sharded_equals_sequential(&proto, |s, u| s.process_batch(u), &to_updates(&ups), shards);
     }
 
     #[test]
     fn l0_sampler_equivalence(ups in updates_strategy(150), shards in 1usize..6, seed in any::<u64>()) {
         let mut seeds = SeedSequence::new(seed);
         let proto = L0Sampler::new(DIM, 0.25, &mut seeds);
-        assert_plans_equal_sequential(&proto, LpSampler::process_batch, &to_updates(&ups), shards);
+        assert_sharded_equals_sequential(&proto, LpSampler::process_batch, &to_updates(&ups), shards);
     }
 
     #[test]
     fn fis_l0_equivalence(ups in updates_strategy(100), shards in 1usize..6, seed in any::<u64>()) {
         let mut seeds = SeedSequence::new(seed);
         let proto = FisL0Sampler::new(DIM, &mut seeds);
-        assert_plans_equal_sequential(&proto, LpSampler::process_batch, &to_updates(&ups), shards);
+        assert_sharded_equals_sequential(&proto, LpSampler::process_batch, &to_updates(&ups), shards);
     }
 
     #[test]
     fn count_sketch_equivalence(ups in updates_strategy(200), shards in 1usize..6, seed in any::<u64>()) {
         let mut seeds = SeedSequence::new(seed);
         let proto = CountSketch::new(DIM, 4, 5, &mut seeds);
-        assert_plans_equal_sequential(&proto, LinearSketch::process_batch, &to_updates(&ups), shards);
+        assert_sharded_equals_sequential(&proto, LinearSketch::process_batch, &to_updates(&ups), shards);
     }
 
     #[test]
     fn count_min_equivalence(ups in updates_strategy(200), shards in 1usize..6, seed in any::<u64>()) {
         let mut seeds = SeedSequence::new(seed);
         let proto = CountMinSketch::new(DIM, 32, 5, &mut seeds);
-        assert_plans_equal_sequential(&proto, |s, u| s.process_batch(u), &to_updates(&ups), shards);
+        assert_sharded_equals_sequential(&proto, |s, u| s.process_batch(u), &to_updates(&ups), shards);
     }
 
     #[test]
     fn count_median_equivalence(ups in updates_strategy(200), shards in 1usize..6, seed in any::<u64>()) {
         let mut seeds = SeedSequence::new(seed);
         let proto = CountMedianSketch::new(DIM, 32, 5, &mut seeds);
-        assert_plans_equal_sequential(&proto, LinearSketch::process_batch, &to_updates(&ups), shards);
+        assert_sharded_equals_sequential(&proto, LinearSketch::process_batch, &to_updates(&ups), shards);
     }
 
     #[test]
     fn ams_equivalence(ups in updates_strategy(150), shards in 1usize..6, seed in any::<u64>()) {
         let mut seeds = SeedSequence::new(seed);
         let proto = AmsSketch::new(DIM, 5, 4, &mut seeds);
-        assert_plans_equal_sequential(&proto, LinearSketch::process_batch, &to_updates(&ups), shards);
+        assert_sharded_equals_sequential(&proto, LinearSketch::process_batch, &to_updates(&ups), shards);
     }
 
     #[test]
     fn decoded_output_survives_sharding(ups in updates_strategy(40), shards in 2usize..6, seed in any::<u64>()) {
-        // beyond state bits: the decoded answers agree too, under both plans
+        // beyond state bits: the decoded answers agree too
         let mut seeds = SeedSequence::new(seed);
         let proto = SparseRecovery::new(DIM, 24, &mut seeds);
         let updates = to_updates(&ups);
@@ -125,23 +111,8 @@ proptest! {
         sequential.process_batch(&updates);
         let merged = parallel_ingest(&proto, &updates, shards);
         prop_assert_eq!(merged.recover(), sequential.recover());
-        let mut session = EngineBuilder::new(&proto).plan(KeyRange::new(DIM, shards)).session();
+        let mut session = EngineBuilder::new(&proto).shards(shards).batch_size(5).session();
         session.ingest_blocking(&updates);
         prop_assert_eq!(session.seal().unwrap().recover(), sequential.recover());
-    }
-
-    #[test]
-    fn skewed_key_ranges_still_recombine_exactly(ups in updates_strategy(120), seed in any::<u64>()) {
-        // deliberately unbalanced explicit boundaries: correctness must be
-        // independent of how well the partition matches the key skew
-        let mut seeds = SeedSequence::new(seed);
-        let proto = SparseRecovery::new(DIM, 6, &mut seeds);
-        let updates = to_updates(&ups);
-        let mut sequential = proto.clone();
-        sequential.process_batch(&updates);
-        let plan = KeyRange::with_bounds(vec![0, 3, 17, DIM]);
-        let mut session = EngineBuilder::new(&proto).plan(plan).batch_size(23).session();
-        session.ingest_blocking(&updates);
-        prop_assert_eq!(session.seal().unwrap().state_digest(), sequential.state_digest());
     }
 }

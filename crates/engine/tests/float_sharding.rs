@@ -19,7 +19,7 @@
 //! flaky statistical tests.
 
 use lps_core::{AkoSampler, LpSampler, PrecisionLpSampler};
-use lps_engine::{partitioned_ingest, EngineBuilder, KeyRange, RoundRobin};
+use lps_engine::{EngineBuilder, RoundRobin, ShardIngest};
 use lps_hash::SeedSequence;
 use lps_heavy::{CountMinHeavyHitters, CountSketchHeavyHitters};
 use lps_sketch::{LinearSketch, PStableSketch};
@@ -48,8 +48,11 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
 }
 
-fn plans(shards: usize) -> (RoundRobin, KeyRange) {
-    (RoundRobin::approximate(shards), KeyRange::approximate(DIM, shards))
+/// `ups` ingested by a 4-shard approximate-tolerance session, merged.
+fn sharded<T: ShardIngest + 'static>(proto: &T, ups: &[Update]) -> T {
+    let mut session = EngineBuilder::new(proto).plan(RoundRobin::approximate(4)).session();
+    session.ingest_blocking(ups);
+    session.seal().unwrap()
 }
 
 #[test]
@@ -60,18 +63,13 @@ fn pstable_estimate_drift_is_bounded_under_both_plans() {
     let mut sequential = proto.clone();
     LinearSketch::process_batch(&mut sequential, &ups);
 
-    let (rr, kr) = plans(4);
-    for (name, merged) in [
-        ("round_robin", partitioned_ingest(&proto, &ups, rr)),
-        ("key_range", partitioned_ingest(&proto, &ups, kr)),
-    ] {
-        assert!(
-            rel_close(merged.estimate(), sequential.estimate(), REL_TOL),
-            "{name}: sharded estimate {} drifted from sequential {}",
-            merged.estimate(),
-            sequential.estimate()
-        );
-    }
+    let merged = sharded(&proto, &ups);
+    assert!(
+        rel_close(merged.estimate(), sequential.estimate(), REL_TOL),
+        "sharded estimate {} drifted from sequential {}",
+        merged.estimate(),
+        sequential.estimate()
+    );
 }
 
 #[test]
@@ -82,22 +80,17 @@ fn precision_sampler_recovery_drift_is_bounded() {
     let mut sequential = proto.clone();
     LpSampler::process_batch(&mut sequential, &ups);
 
-    let (rr, kr) = plans(4);
-    for (name, merged) in [
-        ("round_robin", partitioned_ingest(&proto, &ups, rr)),
-        ("key_range", partitioned_ingest(&proto, &ups, kr)),
-    ] {
-        let (s, m) = (sequential.recovery_state(), merged.recovery_state());
-        assert_eq!(s.best_index, m.best_index, "{name}: recovered index flipped");
-        assert!(
-            rel_close(s.best_zstar, m.best_zstar, REL_TOL),
-            "{name}: z* {} drifted from sequential {}",
-            m.best_zstar,
-            s.best_zstar
-        );
-        assert!(rel_close(s.r, m.r, REL_TOL), "{name}: norm estimate drifted");
-        assert!(rel_close(s.s, m.s, REL_TOL), "{name}: tail estimate drifted");
-    }
+    let merged = sharded(&proto, &ups);
+    let (s, m) = (sequential.recovery_state(), merged.recovery_state());
+    assert_eq!(s.best_index, m.best_index, "recovered index flipped");
+    assert!(
+        rel_close(s.best_zstar, m.best_zstar, REL_TOL),
+        "z* {} drifted from sequential {}",
+        m.best_zstar,
+        s.best_zstar
+    );
+    assert!(rel_close(s.r, m.r, REL_TOL), "norm estimate drifted");
+    assert!(rel_close(s.s, m.s, REL_TOL), "tail estimate drifted");
 }
 
 #[test]
@@ -108,23 +101,13 @@ fn ako_sampler_sample_survives_sharding() {
     let mut sequential = proto.clone();
     LpSampler::process_batch(&mut sequential, &ups);
 
-    let (rr, kr) = plans(4);
-    for (name, merged) in [
-        ("round_robin", partitioned_ingest(&proto, &ups, rr)),
-        ("key_range", partitioned_ingest(&proto, &ups, kr)),
-    ] {
-        let (s, m) = (sequential.sample(), merged.sample());
-        match (s, m) {
-            (None, None) => {}
-            (Some(s), Some(m)) => {
-                assert_eq!(s.index, m.index, "{name}: sampled index flipped");
-                assert!(
-                    rel_close(s.estimate, m.estimate, REL_TOL),
-                    "{name}: sampled estimate drifted"
-                );
-            }
-            (s, m) => panic!("{name}: sample presence flipped ({s:?} vs {m:?})"),
+    match (sequential.sample(), sharded(&proto, &ups).sample()) {
+        (None, None) => {}
+        (Some(s), Some(m)) => {
+            assert_eq!(s.index, m.index, "sampled index flipped");
+            assert!(rel_close(s.estimate, m.estimate, REL_TOL), "sampled estimate drifted");
         }
+        (s, m) => panic!("sample presence flipped ({s:?} vs {m:?})"),
     }
 }
 
@@ -136,17 +119,13 @@ fn heavy_hitter_reports_are_unchanged_by_sharding() {
     let proto = CountSketchHeavyHitters::new(DIM, 1.0, 0.125, &mut seeds);
     let mut sequential = proto.clone();
     sequential.process_batch(&ups);
-    let (rr, kr) = plans(4);
-    assert_eq!(partitioned_ingest(&proto, &ups, rr).report(), sequential.report());
-    assert_eq!(partitioned_ingest(&proto, &ups, kr).report(), sequential.report());
+    assert_eq!(sharded(&proto, &ups).report(), sequential.report());
 
     let mut seeds = SeedSequence::new(10);
     let proto = CountMinHeavyHitters::new(DIM, 0.125, &mut seeds);
     let mut sequential = proto.clone();
     sequential.process_batch(&ups);
-    let (rr, kr) = plans(4);
-    assert_eq!(partitioned_ingest(&proto, &ups, rr).report(), sequential.report());
-    assert_eq!(partitioned_ingest(&proto, &ups, kr).report(), sequential.report());
+    assert_eq!(sharded(&proto, &ups).report(), sequential.report());
 }
 
 #[test]

@@ -7,9 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use lps_engine::{
-    EngineBuilder, IngestSession, KeyRange, RoundRobin, ShardIngest, ShardPlan, Tolerance,
-};
+use lps_engine::{EngineBuilder, IngestSession, RoundRobin, ShardIngest, Tolerance};
 use lps_hash::SeedSequence;
 use lps_sketch::{Mergeable, PStableSketch, SparseRecovery, StateDigest};
 use lps_stream::Update;
@@ -160,13 +158,13 @@ fn worker_panic_releases_a_dispatcher_parked_on_its_full_channel() {
 }
 
 /// A mid-stream `snapshot` is the merged state of exactly the prefix
-/// accepted so far — partial staging buffers included — under every plan
-/// and shard count, and it leaves the session live: ingestion continues on
-/// the same workers and `seal` still lands on the whole stream's bits.
+/// accepted so far — partial staging buffers included — at every shard
+/// count, and it leaves the session live: ingestion continues on the same
+/// workers and `seal` still lands on the whole stream's bits.
 #[test]
 fn mid_stream_snapshot_matches_the_sequential_prefix_and_the_session_continues() {
-    fn run<P: ShardPlan + std::fmt::Debug>(
-        mut session: IngestSession<SparseRecovery, P>,
+    fn run(
+        mut session: IngestSession<SparseRecovery>,
         ups: &[Update],
         cut: usize,
         prefix: u64,
@@ -198,9 +196,6 @@ fn mid_stream_snapshot_matches_the_sequential_prefix_and_the_session_continues()
         let session = EngineBuilder::new(&proto).shards(shards).batch_size(128).session();
         run(session, &ups, cut, prefix, whole);
     }
-    let session =
-        EngineBuilder::new(&proto).plan(KeyRange::new(1 << 10, 3)).batch_size(128).session();
-    run(session, &ups, cut, prefix, whole);
 }
 
 /// Float structures may only be sharded behind an explicit approximate plan.
@@ -223,16 +218,22 @@ fn float_structure_under_approximate_plan_builds() {
     let _ = session.seal().unwrap();
 }
 
-/// The plan accessor reports what was configured.
+/// The plan accessor reports what was configured, and `shards` keeps a
+/// tolerance set before it.
 #[test]
 fn session_exposes_its_plan() {
     let mut seeds = SeedSequence::new(7);
     let proto = SparseRecovery::new(256, 4, &mut seeds);
-    let session: IngestSession<_, KeyRange> =
-        EngineBuilder::new(&proto).plan(KeyRange::new(256, 4)).session();
+    let session = EngineBuilder::new(&proto).shards(4).session();
     assert_eq!(session.shards(), 4);
+    assert_eq!(session.plan().shards(), 4);
     assert_eq!(session.plan().tolerance(), Tolerance::Exact);
-    assert_eq!(session.plan().range(0), 0..64);
+    let _ = session.seal().unwrap();
+
+    let proto = PStableSketch::with_default_rows(256, 1.0, &mut seeds);
+    let session = EngineBuilder::new(&proto).plan(RoundRobin::approximate(2)).shards(3).session();
+    assert_eq!(session.shards(), 3);
+    assert_eq!(session.plan().tolerance(), Tolerance::Approximate);
     let _ = session.seal().unwrap();
 }
 
@@ -247,8 +248,8 @@ use lps_sketch::{DecodeError, Persist, WireReader, WireWriter};
 const BOMB: i64 = i64::MIN;
 
 /// A test structure that panics when it ingests the [`BOMB`] delta —
-/// deterministic worker death, targeted at whichever shard the plan routes
-/// the bomb to.
+/// deterministic worker death, targeted at whichever shard the plan deals
+/// the bomb's batch to.
 #[derive(Clone, Debug, PartialEq)]
 struct BombSketch {
     seen: Vec<i64>,

@@ -108,23 +108,6 @@ impl CountSketchHeavyHitters {
     pub fn exact(x: &lps_stream::TruthVector, p: f64, phi: f64) -> Vec<u64> {
         exact_heavy_hitters(x, p, phi)
     }
-
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone. The inner p-stable norm counters are dense `f64` sums, so
-    /// sharding this driver is approximate (estimator-level drift, see
-    /// [`Mergeable::merge_from`]); the engine requires an explicit
-    /// approximate-tolerance plan to drive it.
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        lps_sketch::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge of a sibling shard with a disjoint key range;
-    /// coincides with [`Mergeable::merge_from`] on both inner sketches.
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        Mergeable::merge_from(self, other);
-    }
 }
 
 impl Mergeable for CountSketchHeavyHitters {

@@ -20,11 +20,10 @@
 //!   — in-memory or an append-only file whose index survives process
 //!   restarts — and restore transparently on the next touch.
 //!
-//! The ingest surface is sans-io like the engine's sessions:
-//! [`SketchRegistry::route`] reports `Pending` when the eviction outbox is
-//! over its backlog, and [`SketchRegistry::drain`] flushes it.
-//! [`ShardedRegistry`] partitions hashed tenant space with the engine's
-//! [`KeyRange`](lps_engine::KeyRange) plan for multi-shard fleets.
+//! The ingest surface is sans-io: [`SketchRegistry::route`] reports
+//! `Pending` when the eviction outbox is over its backlog, and
+//! [`SketchRegistry::drain`] flushes it;
+//! [`SketchRegistry::route_blocking`] does both.
 //!
 //! The durability boundary is crash-safe and fault-tolerant: [`FileSpill`]
 //! appends checksummed commit records and recovers every committed record
@@ -44,7 +43,6 @@ pub mod envelope;
 pub mod fault;
 pub mod lazy;
 pub mod registry;
-pub mod sharded;
 pub mod spill;
 
 pub use envelope::{
@@ -54,7 +52,6 @@ pub use envelope::{
 pub use fault::{FaultPlan, FaultStats, FaultySpill};
 pub use lazy::LazySketch;
 pub use registry::{RegistryConfig, RegistryError, RegistryStats, RetryPolicy, SketchRegistry};
-pub use sharded::ShardedRegistry;
 pub use spill::{
     record_checksum, FileSpill, MemorySpill, SpillBackend, SpillStats, RECORD_HEADER_LEN,
     RECORD_MAGIC,

@@ -171,19 +171,6 @@ pub struct RegistryStats {
     pub quarantined: u64,
 }
 
-impl RegistryStats {
-    /// Merge another stats block into this one (for sharded aggregation).
-    pub fn absorb(&mut self, other: &RegistryStats) {
-        self.evictions += other.evictions;
-        self.restores += other.restores;
-        self.materializations += other.materializations;
-        self.routed_updates += other.routed_updates;
-        self.transient_put_retries += other.transient_put_retries;
-        self.transient_get_retries += other.transient_get_retries;
-        self.quarantined += other.quarantined;
-    }
-}
-
 /// Errors a registry operation can surface.
 #[derive(Debug)]
 pub enum RegistryError {

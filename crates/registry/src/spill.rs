@@ -1,7 +1,6 @@
 //! Spill backends: where evicted tenant segments go.
 //!
-//! The registry is sans-io about eviction the same way the engine's ingest
-//! sessions are sans-io about ingestion: eviction produces tenant-tagged
+//! The registry is sans-io about eviction: eviction produces tenant-tagged
 //! segments ([`crate::envelope`]) into an outbox, and a [`SpillBackend`]
 //! decides what "cold storage" means. [`MemorySpill`] keeps segments in a
 //! map (tests, or a tiered in-process cache); [`FileSpill`] appends them to

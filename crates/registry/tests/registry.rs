@@ -4,7 +4,7 @@
 use std::task::Poll;
 
 use lps_hash::SeedSequence;
-use lps_registry::{FileSpill, MemorySpill, RegistryConfig, ShardedRegistry, SketchRegistry};
+use lps_registry::{FileSpill, MemorySpill, RegistryConfig, SketchRegistry};
 use lps_sketch::{CountSketch, LinearSketch, Mergeable, SparseRecovery};
 use lps_stream::{Update, Zipf};
 
@@ -145,28 +145,6 @@ fn zipf_traffic_over_many_tenants_stays_bounded() {
     // the resident estimate stays far below the cost of 10^5 dense tenants
     let bytes = reg.resident_bytes_estimate();
     assert!(bytes > 0 && bytes < 512 * 1024 * 1024, "resident estimate implausible: {bytes}");
-}
-
-#[test]
-fn sharded_registry_partitions_tenants_consistently() {
-    let proto = recovery_proto(8);
-    let config = RegistryConfig::new().max_resident(32).materialize_threshold(4).spill_backlog(16);
-    let mut reg = ShardedRegistry::new(&proto, 4, config, |_| MemorySpill::new());
-    assert_eq!(reg.shard_count(), 4);
-
-    let mut owners = std::collections::HashSet::new();
-    for tenant in 0..256u64 {
-        owners.insert(reg.shard_of(tenant));
-        reg.route_blocking(tenant, &[Update::new(tenant, 1)]).unwrap();
-    }
-    assert_eq!(owners.len(), 4, "hashing must spread tenants over all shards");
-
-    for tenant in 0..256u64 {
-        let v = reg.query(tenant, recovered).unwrap().unwrap();
-        assert_eq!(v, vec![(tenant, 1)]);
-    }
-    assert_eq!(reg.stats().routed_updates, 256);
-    assert!(reg.resident_count() <= 4 * 32);
 }
 
 #[test]

@@ -59,10 +59,9 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::task::Poll;
 use std::thread::JoinHandle;
 
-use lps_engine::{merge_checkpointed, read_envelope, EngineError, PlanStrategy, Tolerance};
+use lps_engine::{merge_checkpointed, read_envelope, EngineError, Tolerance};
 use lps_registry::{MemorySpill, RegistryConfig, SketchRegistry};
 use lps_sketch::persist::read_header;
 use lps_sketch::{DecodeError, Mergeable};
@@ -97,7 +96,7 @@ pub struct ServiceConfig {
     pub batch_size: usize,
     /// Accepted-update count between automatic snapshot publishes.
     pub publish_interval: u64,
-    /// `max_resident` of the tenant registry.
+    /// `max_resident` of the tenant registry. Read as at least 1.
     pub max_resident: usize,
     /// Authentication token connections must present in their `Hello`
     /// frame. `None` (the default) leaves the server open.
@@ -173,7 +172,8 @@ impl<T: ServeQuery> Default for MergeService<T> {
 impl<T: ServeQuery> MergeService<T> {
     /// Accept one shard's enveloped checkpoint buffer. The envelope is
     /// validated against this service's plan *before* anything decodes: a
-    /// key-range or approximate-tolerance checkpoint is rejected with
+    /// key-range checkpoint (refused by `read_envelope`) or an
+    /// approximate-tolerance one is rejected with
     /// `DecodeError::PlanMismatch` (which the server answers as a protocol
     /// `Error` frame — the connection survives). Once every shard of a set
     /// has arrived, the set is merged into the absorbed state and the next
@@ -182,13 +182,6 @@ impl<T: ServeQuery> MergeService<T> {
     /// that arrived first stays in the set.
     pub fn upload(&mut self, buffer: Vec<u8>) -> Result<(), ServiceError> {
         let (envelope, payload) = read_envelope(&buffer)?;
-        if envelope.strategy != PlanStrategy::RoundRobin {
-            return Err(DecodeError::PlanMismatch {
-                expected: PlanStrategy::RoundRobin.name(),
-                found: envelope.strategy.name(),
-            }
-            .into());
-        }
         if envelope.tolerance != Tolerance::Exact {
             return Err(DecodeError::PlanMismatch {
                 expected: Tolerance::Exact.name(),
@@ -200,13 +193,8 @@ impl<T: ServeQuery> MergeService<T> {
         if header.tag != T::TAG {
             return Err(DecodeError::WrongStructure { expected: T::TAG, found: header.tag }.into());
         }
+        // `read_envelope` has checked that the index lies below the count
         let count = envelope.shard_count as usize;
-        if count == 0 || envelope.shard as usize >= count {
-            return Err(DecodeError::Corrupt {
-                context: "envelope shard index outside its shard count",
-            }
-            .into());
-        }
         let set = self.pending.entry(count).or_insert_with(|| vec![None; count]);
         let slot = &mut set[envelope.shard as usize];
         if slot.is_some() {
@@ -623,7 +611,7 @@ impl ServiceCore {
         );
         let registry = SketchRegistry::new(
             protos.tenant_proto,
-            RegistryConfig::new().max_resident(config.max_resident),
+            RegistryConfig::new().max_resident(config.max_resident.max(1)),
             MemorySpill::new(),
         );
         let mut core = ServiceCore {
@@ -705,14 +693,7 @@ impl ServiceCore {
                 Ok(Frame::Reply(Reply::Ack { accepted: self.accepted }))
             }
             Frame::UpdateBatch { tenant, updates } => {
-                loop {
-                    match self.registry.route(tenant, &updates)? {
-                        Poll::Ready(_) => break,
-                        Poll::Pending => {
-                            self.registry.drain()?;
-                        }
-                    }
-                }
+                self.registry.route_blocking(tenant, &updates)?;
                 self.accepted += updates.len() as u64;
                 Ok(Frame::Reply(Reply::Ack { accepted: self.accepted }))
             }

@@ -4,16 +4,16 @@
 //! The load pattern mirrors the CI two-process harness at a smaller scale:
 //! streamed update batches, a concurrent tenant feeder on a second
 //! connection, live queries mid-ingestion, a complete shard-checkpoint
-//! upload set, one deliberately mismatched (key-range) upload that must
-//! come back as a typed `PlanMismatch` error *without* killing the
-//! connection, and final digests compared against sequential local
+//! upload set, one deliberately mismatched upload (a shard stamped with
+//! the retired key-range strategy) that must come back as a typed
+//! `PlanMismatch` error *without* killing the connection, and final digests compared against sequential local
 //! references — bit-identical, because every catalog structure merges
 //! exactly.
 
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 
-use lps_engine::{EngineBuilder, KeyRange, ShardIngest};
+use lps_engine::{EngineBuilder, ShardIngest};
 use lps_service::proto::tags as frame_tags;
 use lps_service::{
     CatalogPrototypes, ErrorCode, Frame, FrameCodec, Query, RunningServer, ServiceClient,
@@ -112,14 +112,15 @@ fn tcp_loopback_round(config: ServiceConfig) {
         client.upload_checkpoint(buffer).expect("upload accepted");
     }
 
-    // A key-range checkpoint violates the service's round-robin plan: the
-    // envelope is rejected as a typed PlanMismatch error frame and the
-    // connection keeps working.
-    let mut wrong =
-        EngineBuilder::new(&protos.count_min).plan(KeyRange::new(DIM, 2)).batch_size(128).session();
+    // A checkpoint of the retired key-range plan (a round-robin shard whose
+    // envelope strategy byte, offset 6, reads 1) violates the service's
+    // round-robin plan: the envelope is rejected as a typed PlanMismatch
+    // error frame and the connection keeps working.
+    let mut wrong = EngineBuilder::new(&protos.count_min).shards(2).batch_size(128).session();
     wrong.ingest_blocking(&side[..64]);
-    let wrong_buffers = wrong.checkpoint().expect("key-range checkpoint");
-    match client.upload_checkpoint(wrong_buffers[0].clone()) {
+    let mut wrong_buffer = wrong.checkpoint().expect("local checkpoint").swap_remove(0);
+    wrong_buffer[6] = 1;
+    match client.upload_checkpoint(wrong_buffer) {
         Err(ServiceError::Remote { code: ErrorCode::PlanMismatch, detail }) => {
             assert!(detail.contains("round_robin"), "detail names the expected plan: {detail}");
         }
@@ -186,16 +187,20 @@ fn tcp_loopback_round(config: ServiceConfig) {
 }
 
 /// `shards(0)` and `batch_size(0)` are taken as 1, like a zero publish
-/// interval or resident cap: the server binds, acks a catalog batch, and
-/// its digests equal sequential ingestion.
+/// interval or resident cap — also when the pub fields themselves hold 0:
+/// the server binds, acks a catalog batch and a tenant batch, and its
+/// digests equal sequential ingestion.
 #[test]
 fn zero_shards_and_zero_batch_size_serve_as_one() {
-    let config = ServiceConfig::new(DIM, SEED).shards(0).batch_size(0);
+    let mut config = ServiceConfig::new(DIM, SEED).shards(0).batch_size(0);
+    config.max_resident = 0;
     let server = RunningServer::bind_tcp("127.0.0.1:0", config).expect("bind");
     let mut client =
         ServiceClient::connect_tcp(server.local_addr().expect("address")).expect("connect");
     let updates = workload(300, 8);
     assert_eq!(client.send_updates(0, &updates).expect("catalog batch"), updates.len() as u64);
+    let tenant_updates = workload(200, 9);
+    client.send_updates(5, &tenant_updates).expect("tenant batch");
 
     let mut reference = CatalogPrototypes::standard(DIM, SEED);
     reference.sparse_recovery.ingest_batch(&updates);
@@ -218,6 +223,12 @@ fn zero_shards_and_zero_batch_size_serve_as_one() {
     for (tag, digest) in expected {
         assert_eq!(client.digest(tag).expect("digest"), digest, "structure {tag:#06x} diverged");
     }
+    reference.tenant_proto.ingest_batch(&tenant_updates);
+    assert_eq!(
+        client.tenant_digest(5).expect("tenant digest"),
+        Some(reference.tenant_proto.state_digest()),
+        "tenant 5 diverged from its sequential count-min"
+    );
     client.shutdown().expect("shutdown ack");
     server.join();
 }

@@ -106,23 +106,6 @@ impl AmsSketch {
         fresh
     }
 
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone (counter shape is `(groups, group_size)`, independent of `n`;
-    /// exact recombination needs the same sign hashes over global
-    /// coordinates).
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        crate::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge of a sibling shard with a disjoint key range;
-    /// every counter sums contributions from all coordinates, so the union
-    /// coincides with [`Mergeable::merge_from`].
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        Mergeable::merge_from(self, other);
-    }
-
     /// Apply already-coalesced `(index, delta)` entries (distinct indices,
     /// as [`lps_stream::coalesce_updates`] returns them), so each distinct
     /// index walks the `groups × group_size` sign hashes exactly once per

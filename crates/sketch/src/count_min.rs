@@ -146,22 +146,6 @@ impl CountMinSketch {
             *a -= b;
         }
     }
-
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone (table shape is `(rows, width)`, independent of `n`; exact
-    /// recombination needs the same row hashes over global coordinates).
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        crate::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge: absorb a sibling shard whose ingested key range
-    /// was disjoint from ours. Counters are integers shared across ranges by
-    /// hashing, so the union is exactly [`CountMinSketch::merge`].
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        self.merge(other);
-    }
 }
 
 impl Mergeable for CountMinSketch {
@@ -268,20 +252,6 @@ impl CountMedianSketch {
     /// Apply an integer update (convenience mirroring [`CountMinSketch`]).
     pub fn update_signed(&mut self, u: Update) {
         self.update(u.index, u.delta as f64);
-    }
-
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone (see [`CountMinSketch::restrict_domain`]).
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        crate::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge of a sibling shard with a disjoint key range;
-    /// coincides with [`Mergeable::merge_from`] (bucketed counter addition).
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        Mergeable::merge_from(self, other);
     }
 
     /// Apply already-coalesced `(index, delta)` entries (distinct indices,

@@ -193,26 +193,6 @@ impl CountSketch {
         assert_eq!(self.width, other.width, "width mismatch");
     }
 
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone. The table shape is set by `(rows, width)`, not by `n`, and
-    /// bit-identical recombination requires hashing global coordinates with
-    /// the same functions, so restriction constrains the *stream* a shard
-    /// sees (and with it the bucket working set), not the table.
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        crate::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge: absorb a sibling shard whose ingested key range
-    /// was disjoint from ours. Buckets are shared across key ranges through
-    /// hashing, so the union is counter addition — identical to
-    /// [`Mergeable::merge_from`], kept as a named operation so key-range
-    /// recombination states its precondition.
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        Mergeable::merge_from(self, other);
-    }
-
     /// Apply already-coalesced `(index, delta)` entries (distinct indices,
     /// as [`lps_stream::coalesce_updates`] returns them), walking the bucket
     /// table in row-major order, so each pass touches one row's `6m`

@@ -41,7 +41,7 @@ pub use compensated::kahan_add;
 pub use count_min::{CountMedianSketch, CountMinSketch};
 pub use count_sketch::{median, rows_for_dimension, CountSketch, SparseApprox, WIDTH_FACTOR};
 pub use linear::LinearSketch;
-pub use mergeable::{check_shard_range, Mergeable, StateDigest};
+pub use mergeable::{Mergeable, StateDigest};
 pub use persist::{
     read_header, seed_section, DecodeError, Persist, WireHeader, WireReader, WireWriter,
     WIRE_MAGIC, WIRE_VERSION,

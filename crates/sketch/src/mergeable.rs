@@ -50,20 +50,6 @@ pub trait Mergeable {
     fn state_digest(&self) -> u64;
 }
 
-/// Validate the key range handed to a `restrict_domain` shard constructor:
-/// non-empty and within `[0, dimension)`. One shared check so the dozen
-/// implementations across the workspace cannot drift.
-#[track_caller]
-pub fn check_shard_range(range: &std::ops::Range<u64>, dimension: u64) {
-    assert!(
-        range.start < range.end && range.end <= dimension,
-        "key range {}..{} out of bounds for dimension {}",
-        range.start,
-        range.end,
-        dimension
-    );
-}
-
 /// An FNV-1a accumulator for building [`Mergeable::state_digest`] values out
 /// of heterogeneous counter types.
 #[derive(Debug, Clone, Copy)]

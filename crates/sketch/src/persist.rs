@@ -165,9 +165,9 @@ pub enum DecodeError {
     },
     /// An engine checkpoint was produced under a different shard plan than
     /// the one the caller is resuming with — a different partitioning
-    /// strategy (e.g. a key-range checkpoint offered to a round-robin
-    /// resume) or a different tolerance marker: the per-shard states are
-    /// only meaningful under the plan that produced them.
+    /// strategy (a checkpoint of the retired key-range plan) or a different
+    /// tolerance marker: the per-shard states are only meaningful under the
+    /// plan that produced them.
     PlanMismatch {
         /// Strategy or tolerance name the resuming plan expects.
         expected: &'static str,

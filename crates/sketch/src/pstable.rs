@@ -105,26 +105,6 @@ impl PStableSketch {
     pub fn upper_estimate(&self) -> f64 {
         self.estimate() * 1.4
     }
-
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion: an identically-seeded zero-state
-    /// clone. Counters are dense `f64` sums over *all* coordinates, so a
-    /// key-range recombination reassociates floating-point additions —
-    /// sharding this structure is approximate (estimator-level drift, not
-    /// bit identity); the engine requires an explicit approximate-tolerance
-    /// plan to drive it.
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        crate::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge of a sibling shard with a disjoint key range;
-    /// coincides with [`Mergeable::merge_from`] (rowwise `f64` addition,
-    /// commutative bitwise, associative only up to rounding — see the
-    /// `merge_from` drift bound).
-    pub fn merge_disjoint(&mut self, other: &Self) {
-        Mergeable::merge_from(self, other);
-    }
 }
 
 impl LinearSketch for PStableSketch {

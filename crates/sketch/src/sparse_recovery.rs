@@ -383,40 +383,6 @@ impl SparseRecovery {
         }
     }
 
-    /// Build the shard structure that owns the key range `range` under
-    /// key-range partitioned ingestion.
-    ///
-    /// The returned structure is an identically-seeded zero-state clone:
-    /// sparse-recovery state is hash-compressed (cell shape depends on the
-    /// sparsity capacity, not on `n`), and bit-identical disjoint-union
-    /// recombination requires evaluating the *same* bucket hashes and
-    /// fingerprint powers at global coordinates. What a range-restricted
-    /// shard buys is locality — its updates touch only the cells its own
-    /// key range hashes to — and a [`SparseRecovery::merge_disjoint`] that
-    /// skips the cells the sibling never populated.
-    pub fn restrict_domain(&self, range: std::ops::Range<u64>) -> Self {
-        crate::check_shard_range(&range, self.dimension);
-        self.clone()
-    }
-
-    /// Disjoint-union merge: absorb a sibling shard whose ingested key range
-    /// was disjoint from ours.
-    ///
-    /// For a linear sketch the disjoint union coincides with addition, so
-    /// the result is bit-identical to [`SparseRecovery::merge`]; disjointness
-    /// is exploited by skipping every cell the sibling left untouched
-    /// (adding an all-zero cell is a bitwise no-op). Under key-range
-    /// partitioning each shard populates only the buckets its own range
-    /// hashes to, so most sibling cells are skipped.
-    pub fn merge_disjoint(&mut self, other: &SparseRecovery) {
-        assert_eq!(self.cells.len(), other.cells.len(), "shape mismatch");
-        for (a, b) in self.cells.iter_mut().zip(other.cells.iter()) {
-            if !b.is_zero() {
-                a.merge(b);
-            }
-        }
-    }
-
     /// Attempt to recover the sketched vector by peeling. Does not modify the
     /// structure (works on a scratch copy).
     pub fn recover(&self) -> RecoveryOutput {

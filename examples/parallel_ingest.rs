@@ -1,8 +1,7 @@
 //! Parallel sharded ingestion: split one turnstile stream across worker
 //! threads, each owning an identically-seeded clone of the sketch, and
-//! tree-merge the shards into a state bit-identical to sequential ingestion.
-//! (Round-robin partitioning; see `partitioned_ingest.rs` for the key-range
-//! strategy and the non-blocking session surface.)
+//! tree-merge the shards into a state bit-identical to sequential ingestion
+//! — plus an approximate-tolerance plan unlocking a float structure.
 //!
 //! Run with `cargo run --release --example parallel_ingest`.
 
@@ -75,6 +74,20 @@ fn main() {
             println!("L0 sampler: both parallel and sequential failed on this instance");
         }
     }
+
+    // --- float structures shard too, behind an explicit opt-in ---
+    let mut seeds = SeedSequence::new(44);
+    let pstable = PStableSketch::with_default_rows(n, 1.0, &mut seeds);
+    let mut sequential_ps = pstable.clone();
+    LinearSketch::process_batch(&mut sequential_ps, &updates);
+    let mut session = EngineBuilder::new(&pstable).plan(RoundRobin::approximate(4)).session();
+    session.ingest_blocking(&updates);
+    let sharded_ps = session.seal().unwrap();
+    let (a, b) = (sharded_ps.estimate(), sequential_ps.estimate());
+    assert!((a - b).abs() <= 1e-9 * a.abs().max(b.abs()), "drift beyond the documented bound");
+    println!(
+        "p-stable L1 estimate under Tolerance::Approximate: sharded {a:.6} vs sequential {b:.6}"
+    );
 
     println!("parallel ingestion is exact: linear sketches make sharding free of error");
 }

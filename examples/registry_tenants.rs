@@ -90,30 +90,4 @@ fn main() {
         }
     }
     println!("digest check: {checked} tenants bit-identical across evicted vs never-evicted paths");
-
-    // Scale out: the same traffic through a 4-shard registry, tenants
-    // partitioned by hash so each shard owns a disjoint fleet slice.
-    let mut seeds = SeedSequence::new(0xF1EE7);
-    let proto = SparseRecovery::new(dimension, 8, &mut seeds);
-    let sharded_config =
-        RegistryConfig::new().max_resident(256).materialize_threshold(32).spill_backlog(128);
-    let mut sharded = ShardedRegistry::new(&proto, 4, sharded_config, |_| MemorySpill::new());
-    let zipf = Zipf::new(tenants, 1.05);
-    let mut shard_seeds = SeedSequence::new(0x7E4A);
-    for _ in 0..updates {
-        let tenant = zipf.sample(&mut shard_seeds);
-        let update = Update::new(shard_seeds.next_below(dimension), 1);
-        sharded.route_blocking(tenant, std::slice::from_ref(&update)).expect("route");
-    }
-    sharded.drain().expect("drain");
-    assert_eq!(
-        sharded.digest(1).expect("digest"),
-        registry.digest(1).expect("digest"),
-        "sharding must not change any tenant's state"
-    );
-    println!(
-        "sharded x4: {} resident / {} spilled across shards, tenant 1 digest unchanged",
-        sharded.resident_count(),
-        sharded.spilled_count()
-    );
 }

@@ -82,17 +82,15 @@ pub mod prelude {
         PriorWorkDuplicateFinder, ShortStreamDuplicateFinder,
     };
     pub use lps_engine::{
-        merge_checkpointed, parallel_ingest, partitioned_ingest, EngineBuilder, IngestSession,
-        KeyRange, RoundRobin, ShardIngest, ShardPlan, Tolerance,
+        merge_checkpointed, parallel_ingest, EngineBuilder, IngestSession, RoundRobin, ShardIngest,
+        Tolerance,
     };
     pub use lps_hash::SeedSequence;
     pub use lps_heavy::{
         exact_heavy_hitters, is_valid_heavy_hitter_set, CountMinHeavyHitters,
         CountSketchHeavyHitters,
     };
-    pub use lps_registry::{
-        LazySketch, MemorySpill, RegistryConfig, ShardedRegistry, SketchRegistry, SpillBackend,
-    };
+    pub use lps_registry::{LazySketch, MemorySpill, RegistryConfig, SketchRegistry, SpillBackend};
     pub use lps_service::{
         CatalogPrototypes, Frame, FrameCodec, ProtoError, Query, Reply, RunningServer,
         ServiceClient, ServiceConfig, ServiceError,

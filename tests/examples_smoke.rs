@@ -62,11 +62,6 @@ fn parallel_ingest_example_exits_zero() {
 }
 
 #[test]
-fn partitioned_ingest_example_exits_zero() {
-    run_example("partitioned_ingest");
-}
-
-#[test]
 fn registry_tenants_example_exits_zero() {
     run_example("registry_tenants");
 }
