@@ -59,12 +59,12 @@ pub struct ThroughputRecord {
     pub updates_per_sec: f64,
 }
 
-/// Passes each quick-mode E13/E14 record is timed over; the record keeps
-/// the median pass. A quick pass lasts only milliseconds, so one pass that
-/// lands on a scheduler hiccup or a cold cache would otherwise move a
+/// Passes each quick-mode E13/E14/E15 record is timed over; the record
+/// keeps the median pass. A quick pass lasts only milliseconds, so one pass
+/// that lands on a scheduler hiccup or a cold cache would otherwise move a
 /// gated headline ratio by itself. Full mode times one pass of a workload
 /// ten times larger.
-const QUICK_PASSES: usize = 5;
+pub(crate) const QUICK_PASSES: usize = 5;
 
 /// Time `passes` runs of `run` over `batch` and record the median pass.
 /// Each pass continues on the state the previous one left: the update

@@ -56,8 +56,9 @@ pub trait ServeQuery: ShardIngest + Persist + Send + Sync + 'static {
 
     /// Apply a batch already coalesced by `lps_stream::coalesce_updates`
     /// (distinct indices, non-zero deltas): the structure's `process_batch`
-    /// after its own coalescing step, so the catalog's one coalesced batch
-    /// feeds every structure bit-identically to `ingest_batch`.
+    /// after its own coalescing step, so each chunk of the catalog's one
+    /// coalesced window feeds every structure bit-identically to
+    /// `ingest_batch` of the updates the window sums.
     fn apply_coalesced(&mut self, entries: &[(u64, i64)]);
 
     /// Answer `query` from this structure's current state.

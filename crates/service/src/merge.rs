@@ -11,8 +11,8 @@
 //!   brief map lock. Reads never touch the ingest path, never wait on it,
 //!   and are stale by at most one publish interval
 //!   ([`ServiceConfig::publish_interval`] accepted updates): a publish
-//!   covers every update accepted before it, whether staged, sealed but
-//!   not yet sent, or queued at a worker.
+//!   covers every update accepted before it, whether staged, folded into
+//!   the open window, or queued at a worker.
 //! * **Digest queries** (structure or tenant) are applied under the core
 //!   lock like writes, forcing a fresh publish first — so they are
 //!   linearized with ingestion: a digest answered after the service
@@ -22,24 +22,38 @@
 //! ## Publishing without pausing ingestion
 //!
 //! Every catalog structure is a linear sketch of the frequency vector, so
-//! one coalesced `(index, Δ)` list is a correct input for all of them, and
-//! when a batch reaches the workers changes no answer as long as each
-//! publish sends it first. The core's one dispatcher stages each tenant-0
-//! update once and seals a batch every [`ServiceConfig::batch_size`]
-//! updates, moving it uncoalesced to an unsent list: accepting a frame
-//! (`ServiceCore::accept`) never waits on a worker. The fan-out
-//! (`ServiceCore::fan_out`) runs `coalesce_updates` once per unsent batch,
-//! oldest first, and sends the result as one `Arc` to a worker pool sized
-//! to the host: `min(available_parallelism, 7 × shards)` workers, each
-//! owning a fixed share of the catalog's (structure, replica) units, placed
-//! longest-first by per-update cost. Replica `r` of a structure takes sent
-//! batches `r, r + shards, …`. [`ServiceCore::apply`] runs both steps; the
-//! server acknowledges a write after the first and runs the second after
-//! the ack is written.
+//! one coalesced `(index, Δ)` list is a correct input for all of them, an
+//! insertion that a later deletion cancels can be summed away before any
+//! structure sees it, and when a list reaches the workers changes no answer
+//! as long as each publish sends it first. The core's one dispatcher works
+//! in three steps:
 //!
-//! A publish first seals the staged updates and sends every unsent batch,
-//! then sends one snapshot request per worker, queued behind its batches,
-//! and each worker answers with clones of its units. Per structure, the
+//! * **Stage.** Accepting a frame (`ServiceCore::accept`) only appends its
+//!   tenant-0 updates to a staging buffer: it sorts nothing and never waits
+//!   on a worker.
+//! * **Fold.** The fan-out (`ServiceCore::fan_out`) cuts the staged updates
+//!   into pieces of [`DEFAULT_BATCH_SIZE`], runs `coalesce_updates` once per
+//!   piece, and merges the result into the open *window*: the coalesced sum
+//!   of every update folded since the window last sealed, sorted by index,
+//!   with every sum of zero dropped. A partial piece stays staged.
+//! * **Seal.** Once the window holds [`ServiceConfig::batch_size`] distinct
+//!   coordinates, and at every publish, it is sent in chunks of at most
+//!   `DEFAULT_BATCH_SIZE` entries, each one `Arc`, to a worker pool sized to
+//!   the host: `min(available_parallelism, 7 × shards)` workers, each owning
+//!   a fixed share of the catalog's (structure, replica) units, placed
+//!   longest-first by per-update cost. Replica `r` of a structure takes sent
+//!   windows `r, r + shards, …`; a window whose updates all cancelled sends
+//!   nothing and takes no replica's turn.
+//!
+//! [`ServiceCore::apply`] runs the first step, then the other two; the
+//! server acknowledges a write after the first and folds after the ack is
+//! written. A chunk of a sorted coalesced list is itself one, and every
+//! catalog structure is exact, so the states are bit-identical to
+//! sequential ingestion wherever the window and chunk boundaries fall.
+//!
+//! A publish first folds every staged update and seals the window, then
+//! sends one snapshot request per worker, queued behind its chunks, and
+//! each worker answers with clones of its units. Per structure, the
 //! replica clones merge, absorbed shard uploads merge in, and the snapshot
 //! `Arc` swaps. Nothing is serialized and no worker restarts — the catalog
 //! structures are linear sketches, so the in-memory merge is already
@@ -55,6 +69,7 @@
 //! zero-state clones of its units, so the service keeps serving.
 
 use std::any::Any;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -65,7 +80,7 @@ use lps_engine::{merge_checkpointed, read_envelope, EngineError, Tolerance};
 use lps_registry::{MemorySpill, RegistryConfig, SketchRegistry};
 use lps_sketch::persist::read_header;
 use lps_sketch::{DecodeError, Mergeable};
-use lps_stream::{coalesce_updates, Update};
+use lps_stream::{coalesce_updates, Update, DEFAULT_BATCH_SIZE};
 
 use crate::catalog::{CatalogPrototypes, ServeQuery};
 use crate::proto::{Frame, Query, Reply};
@@ -88,11 +103,13 @@ pub struct ServiceConfig {
     /// Master seed the catalog prototypes are drawn from (clients must use
     /// the same seed to upload compatible checkpoints).
     pub seed: u64,
-    /// Replicas per catalog structure; the dispatcher deals sealed batches
+    /// Replicas per catalog structure; the dispatcher deals sealed windows
     /// to them in rotation. Read as at least 1.
     pub shards: usize,
-    /// Updates the catalog dispatcher stages before it seals, coalesces and
-    /// sends a batch. Read as at least 1.
+    /// Distinct coordinates the catalog dispatcher's open window holds
+    /// before it seals and sends it to the workers; it folds staged
+    /// updates into the window [`DEFAULT_BATCH_SIZE`] at a time, and also
+    /// seals at every publish. Read as at least 1.
     pub batch_size: usize,
     /// Accepted-update count between automatic snapshot publishes.
     pub publish_interval: u64,
@@ -107,14 +124,15 @@ impl ServiceConfig {
     /// A service over `[0, dimension)` seeded with `seed`; other knobs at
     /// their defaults (1 replica per structure — the catalog's workers
     /// already split the seven structures between the host's cores, and a
-    /// second replica only doubles memory — 1024-update dispatch batches,
+    /// second replica only doubles memory — dispatch windows of 4096
+    /// distinct coordinates, folded every [`DEFAULT_BATCH_SIZE`] updates,
     /// publish every 25 000 accepted updates, 1024 resident tenants).
     pub fn new(dimension: u64, seed: u64) -> Self {
         ServiceConfig {
             dimension,
             seed,
             shards: 1,
-            batch_size: 1024,
+            batch_size: 4096,
             publish_interval: 25_000,
             max_resident: 1024,
             auth_token: None,
@@ -127,7 +145,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the catalog dispatcher's batch size (0 is taken as 1).
+    /// Set the distinct coordinates at which the catalog dispatcher seals
+    /// its window (0 is taken as 1).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self
@@ -317,7 +336,8 @@ impl<T: ServeQuery> Slot for MergeService<T> {
 
 /// One (structure, replica) state a dispatcher worker owns.
 trait Unit: Send {
-    /// Apply one coalesced batch.
+    /// Apply one chunk of a sealed window: coalesced, at most
+    /// [`DEFAULT_BATCH_SIZE`] entries.
     fn apply(&mut self, entries: &[(u64, i64)]);
     /// A clone of the state, for a publish to merge.
     fn clone_state(&self) -> Box<dyn Any + Send>;
@@ -346,8 +366,11 @@ impl<T: ServeQuery> Unit for T {
 /// place the units.
 const CATALOG_COST_NS: [f64; 7] = [113.0, 263.0, 777.0, 427.0, 68.0, 71.0, 389.0];
 
-/// How many sealed batches may wait unprocessed in each worker's channel
-/// before the dispatcher parks, as in the engine's ingest session.
+/// How many chunks may wait unprocessed in each worker's channel before
+/// the dispatcher parks. A chunk holds at most [`DEFAULT_BATCH_SIZE`]
+/// coordinates, so a publish finds at most `WORKER_BACKLOG ×
+/// DEFAULT_BATCH_SIZE` coordinates queued ahead of its snapshot request,
+/// whatever `ServiceConfig::batch_size` is.
 const WORKER_BACKLOG: usize = 10;
 
 /// Place the `costs.len() × replicas` (structure, replica) units on
@@ -373,10 +396,11 @@ fn place(costs: &[f64], replicas: usize, workers: usize) -> Vec<Vec<(usize, usiz
 
 /// What travels down a dispatcher worker's channel.
 enum Message {
-    /// A sealed, coalesced batch for every unit of replica `replica`.
-    Batch { replica: usize, entries: Arc<[(u64, i64)]> },
+    /// One chunk of a sealed window, at most [`DEFAULT_BATCH_SIZE`]
+    /// entries, for every unit of replica `replica`.
+    Chunk { replica: usize, entries: Arc<[(u64, i64)]> },
     /// A request for clones of the worker's units, in its placement order,
-    /// as of every batch queued before it.
+    /// as of every chunk queued before it.
     Snapshot(SyncSender<Vec<Box<dyn Any + Send>>>),
 }
 
@@ -397,7 +421,7 @@ impl Worker {
         let handle = std::thread::spawn(move || {
             while let Ok(message) = receiver.recv() {
                 match message {
-                    Message::Batch { replica, entries } => {
+                    Message::Chunk { replica, entries } => {
                         for (_, unit) in states.iter_mut().filter(|(r, _)| *r == replica) {
                             unit.apply(&entries);
                         }
@@ -413,20 +437,75 @@ impl Worker {
     }
 }
 
-/// The tenant-0 catalog's ingest path: one staging buffer, a list of
-/// sealed batches not yet sent, one `coalesce_updates` per batch as it is
-/// sent, and one `Arc` of the result sent to each worker that owns a unit
-/// of the batch's replica.
+/// The open window of tenant-0 updates: the coalesced sum of every update
+/// folded since it last sealed, sorted by index, distinct, with every sum
+/// of zero dropped — what `coalesce_updates` of those updates returns.
+#[derive(Default)]
+struct Window {
+    entries: Vec<(u64, i64)>,
+    /// The merge's output, swapped with `entries` after each fold; both
+    /// buffers keep their capacity from one window to the next.
+    merged: Vec<(u64, i64)>,
+}
+
+impl Window {
+    /// Fold `updates` in: one `coalesce_updates`, then one linear merge
+    /// with the window, in which the indices whose sums reach zero drop out.
+    fn fold(&mut self, updates: &[Update]) {
+        let piece = coalesce_updates(updates);
+        let (window, merged) = (&self.entries, &mut self.merged);
+        merged.clear();
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&(a, da)), Some(&(b, db))) = (window.get(i), piece.get(j)) {
+            match a.cmp(&b) {
+                Ordering::Less => {
+                    merged.push((a, da));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    merged.push((b, db));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    if da + db != 0 {
+                        merged.push((a, da + db));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        merged.extend_from_slice(&window[i..]);
+        merged.extend_from_slice(&piece[j..]);
+        std::mem::swap(&mut self.entries, &mut self.merged);
+    }
+}
+
+/// The tenant-0 catalog's ingest path: a staging buffer of accepted
+/// updates, the open [`Window`] they fold into [`DEFAULT_BATCH_SIZE`] at a
+/// time, and the worker pool each sealed window is sent to, one `Arc` per
+/// chunk shared by every worker that owns a unit of the window's replica.
+///
+/// Bounds, for `batch_size` = `b` and `DEFAULT_BATCH_SIZE` = `B`:
+///
+/// * the window holds fewer than `b + B` coordinates: it seals once it
+///   holds `b`, and one fold adds at most `B`;
+/// * `staging` holds fewer than `B` updates plus one frame per connection:
+///   a fan-out leaves fewer than `B`, and the server fans out after each
+///   frame that leaves a full piece, before its connection reads another;
+/// * a kernel call sees at most `B` entries: a window travels in chunks;
+/// * a worker channel holds at most `WORKER_BACKLOG × B` queued
+///   coordinates: [`WORKER_BACKLOG`] chunks.
 struct Dispatcher {
     /// Zero-state prototype of each structure, for (re)spawning workers.
     protos: Vec<Box<dyn Unit>>,
     replicas: usize,
+    /// Distinct coordinates at which the window seals.
     batch_size: usize,
+    /// Accepted updates not folded yet, oldest first.
     staging: Vec<Update>,
-    /// Sealed batches, uncoalesced, oldest first, that `fan_out` has not
-    /// sent yet.
-    unsent: Vec<Vec<Update>>,
-    /// Batches sent so far: batch `i` goes to replica `i % replicas`.
+    window: Window,
+    /// Windows sent so far: window `i` goes to replica `i % replicas`.
     sent: u64,
     workers: Vec<Worker>,
 }
@@ -449,60 +528,71 @@ impl Dispatcher {
             protos,
             replicas,
             batch_size,
-            staging: Vec::with_capacity(batch_size),
-            unsent: Vec::new(),
+            staging: Vec::with_capacity(DEFAULT_BATCH_SIZE),
+            window: Window::default(),
             sent: 0,
             workers,
         }
     }
 
-    /// Stage `updates` (copied once), sealing every full batch. Never
-    /// waits on a worker: sealing moves the buffer to the unsent list.
-    fn ingest(&mut self, mut updates: &[Update]) {
-        while !updates.is_empty() {
-            let take = (self.batch_size - self.staging.len()).min(updates.len());
-            self.staging.extend_from_slice(&updates[..take]);
-            updates = &updates[take..];
-            if self.staging.len() == self.batch_size {
+    /// Stage `updates`, copied once: sorts nothing, never waits on a worker.
+    fn ingest(&mut self, updates: &[Update]) {
+        self.staging.extend_from_slice(updates);
+    }
+
+    /// Fold every full [`DEFAULT_BATCH_SIZE`]-update piece of the staged
+    /// updates into the window, oldest first; fewer than
+    /// `DEFAULT_BATCH_SIZE` stay staged.
+    fn fan_out(&mut self) {
+        self.fold(self.staging.len() / DEFAULT_BATCH_SIZE * DEFAULT_BATCH_SIZE);
+    }
+
+    /// Fold the oldest `count` staged updates into the window, one
+    /// [`DEFAULT_BATCH_SIZE`]-update piece at a time, sealing the window
+    /// whenever it reaches `batch_size` coordinates.
+    fn fold(&mut self, count: usize) {
+        let mut staging = std::mem::take(&mut self.staging);
+        for piece in staging[..count].chunks(DEFAULT_BATCH_SIZE) {
+            self.window.fold(piece);
+            if self.window.entries.len() >= self.batch_size {
                 self.seal();
             }
         }
+        staging.drain(..count);
+        self.staging = staging;
     }
 
-    /// Move the staged updates, uncoalesced, to the end of the unsent list.
+    /// Send the window to every worker owning a unit of the next replica,
+    /// in chunks of at most [`DEFAULT_BATCH_SIZE`] entries, and empty it;
+    /// an empty window sends nothing and takes no replica's turn. Parks on
+    /// a full worker channel: the backpressure point, which leaves the
+    /// cores to the workers it waits on. A send to a panicked worker fails
+    /// at once; its state is already lost, and the next publish reports it.
     fn seal(&mut self) {
-        let staged = std::mem::replace(&mut self.staging, Vec::with_capacity(self.batch_size));
-        self.unsent.push(staged);
-    }
-
-    /// Coalesce each unsent batch once, oldest first, and send it to every
-    /// worker owning a unit of its replica. Parks on a full worker channel:
-    /// the backpressure point, which leaves the cores to the workers it
-    /// waits on. A send to a panicked worker fails at once; its state is
-    /// already lost, and the next publish reports it.
-    fn fan_out(&mut self) {
-        for batch in self.unsent.drain(..) {
-            let entries: Arc<[(u64, i64)]> = coalesce_updates(&batch).into();
-            let replica = (self.sent % self.replicas as u64) as usize;
-            self.sent += 1;
+        if self.window.entries.is_empty() {
+            return;
+        }
+        let replica = (self.sent % self.replicas as u64) as usize;
+        self.sent += 1;
+        for chunk in self.window.entries.chunks(DEFAULT_BATCH_SIZE) {
+            let entries: Arc<[(u64, i64)]> = chunk.into();
             let owners = self.workers.iter().filter(|w| w.units.iter().any(|&(_, r)| r == replica));
             for worker in owners {
                 let _ =
-                    worker.sender.send(Message::Batch { replica, entries: Arc::clone(&entries) });
+                    worker.sender.send(Message::Chunk { replica, entries: Arc::clone(&entries) });
             }
         }
+        self.window.entries.clear();
     }
 
-    /// Seal the staged updates and send every unsent batch, then collect a
-    /// clone of every unit, grouped by structure (the replicas of a
-    /// structure merge exactly, in any order). A panicked worker fails the
-    /// call with `Engine(WorkerPanicked)` (lowest worker index) and is
-    /// respawned with zero-state units.
+    /// Fold every staged update and seal the window, then collect a clone
+    /// of every unit, grouped by structure (the replicas of a structure
+    /// merge exactly, in any order). A panicked worker fails the call with
+    /// `Engine(WorkerPanicked)` (lowest worker index) and is respawned with
+    /// zero-state units.
     fn snapshot(&mut self) -> Result<Vec<Vec<Box<dyn Any + Send>>>, ServiceError> {
-        if !self.staging.is_empty() {
-            self.seal();
-        }
-        self.fan_out();
+        self.fold(self.staging.len());
+        self.seal();
         // request every worker's clones before awaiting any, so they copy
         // in parallel
         let replies: Vec<_> = self
@@ -549,7 +639,7 @@ impl Dispatcher {
 
 impl Drop for Dispatcher {
     /// Close every channel, then join the workers once they have drained
-    /// their queued batches.
+    /// their queued chunks.
     fn drop(&mut self) {
         let (senders, handles): (Vec<_>, Vec<_>) =
             self.workers.drain(..).map(|w| (w.sender, w.handle)).unzip();
@@ -639,36 +729,41 @@ impl ServiceCore {
     }
 
     /// Apply one frame in arrival order and produce the frame to send
-    /// back: validate, stage and count it, then send the catalog's workers
-    /// every batch it sealed. Only ingest-ordered frames route here (update
-    /// batches, checkpoint uploads, digest queries, shutdown's final ack) —
-    /// the server answers live queries from the [`SnapshotHandle`] without
+    /// back: validate, stage and count it, then fold every full staged
+    /// piece into the catalog's window, sending the window to the workers
+    /// if it fills. Only ingest-ordered frames route here (update batches,
+    /// checkpoint uploads, digest queries, shutdown's final ack) — the
+    /// server answers live queries from the [`SnapshotHandle`] without
     /// entering this method. The server runs the two steps in two lock
     /// holds and writes the reply between them, so its ack means "staged
-    /// and counted": the sealed batches reach the workers right after the
-    /// ack, and every publish sends whatever is staged first.
+    /// and counted": the fold runs right after the ack, and every publish
+    /// folds whatever is staged and sends the open window first.
     pub fn apply(&mut self, frame: Frame) -> Result<Frame, ServiceError> {
         let reply = self.accept(frame);
         self.fan_out();
         reply
     }
 
-    /// Whether sealed tenant-0 batches wait for [`fan_out`](Self::fan_out).
-    pub(crate) fn has_unsent(&self) -> bool {
-        !self.dispatcher.unsent.is_empty()
+    /// Whether a full [`DEFAULT_BATCH_SIZE`]-update piece of tenant-0
+    /// updates is staged for [`fan_out`](Self::fan_out) to fold.
+    pub(crate) fn needs_fan_out(&self) -> bool {
+        self.dispatcher.staging.len() >= DEFAULT_BATCH_SIZE
     }
 
-    /// Coalesce every sealed, unsent tenant-0 batch once and send it to the
-    /// catalog's workers, oldest first; parks on a full worker channel.
+    /// Fold every full staged piece of tenant-0 updates into the catalog's
+    /// window, oldest first, one `coalesce_updates` and one merge each;
+    /// a window that reaches [`ServiceConfig::batch_size`] coordinates is
+    /// sent to the workers, which parks on a full worker channel.
     pub(crate) fn fan_out(&mut self) {
         self.dispatcher.fan_out();
     }
 
     /// Validate, stage and count one frame and produce the frame to send
-    /// back, without waiting on a catalog worker unless the frame
-    /// publishes: every publish first sends what is staged, so a reply
-    /// (digests included) covers every update accepted before it. Batches
-    /// the frame seals wait for [`fan_out`](Self::fan_out).
+    /// back, without sorting a staged update or waiting on a catalog worker
+    /// unless the frame publishes: every publish first folds what is staged
+    /// and sends the open window, so a reply (digests included) covers
+    /// every update accepted before it. Otherwise the frame's tenant-0
+    /// updates wait, staged, for [`fan_out`](Self::fan_out).
     pub(crate) fn accept(&mut self, frame: Frame) -> Result<Frame, ServiceError> {
         match frame {
             // The structures only debug-assert their domain, and the hash
@@ -760,6 +855,8 @@ mod tests {
     use std::sync::mpsc::{channel, Receiver};
     use std::time::Duration;
 
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -794,6 +891,27 @@ mod tests {
         let total: f64 = CATALOG_COST_NS.iter().sum();
         let bound = (total / 2.0).max(777.0);
         assert!(heaviest <= 1.02 * bound, "heaviest worker {heaviest} ns against {bound} ns");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Indices from a range of 16 make collisions and exact
+        /// cancellations common.
+        #[test]
+        fn folding_two_lists_equals_coalescing_their_concatenation(
+            first in prop::collection::vec((0..16u64, -3i64..4), 0..64),
+            second in prop::collection::vec((0..16u64, -3i64..4), 0..64),
+        ) {
+            let first: Vec<Update> = first.iter().map(|&(i, d)| Update::new(i, d)).collect();
+            let second: Vec<Update> = second.iter().map(|&(i, d)| Update::new(i, d)).collect();
+            let mut window = Window::default();
+            window.fold(&first);
+            window.fold(&second);
+            prop_assert_eq!(&window.entries, &coalesce_updates(&[first, second].concat()));
+            prop_assert!(window.entries.windows(2).all(|w| w[0].0 < w[1].0), "sorted, distinct");
+            prop_assert!(window.entries.iter().all(|&(_, d)| d != 0), "no zero sums");
+        }
     }
 
     /// Records every entry it applies, and panics on a marked delta.
@@ -832,7 +950,8 @@ mod tests {
         assert_eq!(dispatcher.workers[1].units, [(1, 0)]);
 
         let before: Vec<Update> = (0..8).map(|i| Update::new(i % 5, 1)).collect();
-        let marked = [Update::new(3, MARKED)];
+        // an index nothing else writes, so the window keeps the delta whole
+        let marked = [Update::new(7, MARKED)];
         let after: Vec<Update> = (0..6).map(|i| Update::new(i % 3, -2)).collect();
         dispatcher.ingest(&before);
         dispatcher.ingest(&marked);
@@ -847,30 +966,28 @@ mod tests {
         let applied = |s: usize| {
             states[s][0].downcast_ref::<Vec<(u64, i64)>>().expect("recorder state").clone()
         };
-        let sequential = |batches: &[&[Update]]| -> Vec<(u64, i64)> {
-            batches.iter().flat_map(|b| coalesce_updates(b)).collect()
-        };
-        let every = [&before[..4], &before[4..], &marked[..], &after[..4], &after[4..]];
-        assert_eq!(applied(1), sequential(&every), "the surviving worker saw every batch");
-        assert_eq!(applied(0), sequential(&every[3..]), "the respawned worker starts empty");
+        let first = coalesce_updates(&[&before[..], &marked].concat());
+        let second = coalesce_updates(&after);
+        assert_eq!(applied(1), [&first[..], &second].concat(), "the surviving worker saw both");
+        assert_eq!(applied(0), second, "the respawned worker starts empty");
     }
 
-    /// Records each batch it applies, after waiting in `apply` until its
+    /// Records each chunk it applies, after waiting in `apply` until its
     /// gate channel sends or closes.
     #[derive(Clone)]
     struct Gated {
-        batches: Vec<Vec<(u64, i64)>>,
+        chunks: Vec<Vec<(u64, i64)>>,
         gate: Arc<Mutex<Receiver<()>>>,
     }
 
     impl Unit for Gated {
         fn apply(&mut self, entries: &[(u64, i64)]) {
             let _ = self.gate.lock().expect("gate lock").recv();
-            self.batches.push(entries.to_vec());
+            self.chunks.push(entries.to_vec());
         }
 
         fn clone_state(&self) -> Box<dyn Any + Send> {
-            Box::new(self.batches.clone())
+            Box::new(self.chunks.clone())
         }
 
         fn boxed_clone(&self) -> Box<dyn Unit> {
@@ -880,20 +997,21 @@ mod tests {
 
     #[test]
     fn staging_never_waits_on_a_blocked_worker() {
-        const BATCH: usize = 4;
         let (release, gate) = channel::<()>();
-        let proto = Gated { batches: Vec::new(), gate: Arc::new(Mutex::new(gate)) };
-        let mut dispatcher = Dispatcher::new(vec![Box::new(proto)], &[1.0], 1, BATCH, 1);
-        // one batch for the worker to block on, then one more than its
-        // channel holds: sent as they seal, the last would park
-        let updates: Vec<Update> = (0..(WORKER_BACKLOG + 2) * BATCH)
+        let proto = Gated { chunks: Vec::new(), gate: Arc::new(Mutex::new(gate)) };
+        let mut dispatcher = Dispatcher::new(vec![Box::new(proto)], &[1.0], 1, 4, 1);
+        // each piece sums to 7 coordinates, so each fold seals a window:
+        // one for the worker to block on, then one more than its channel
+        // holds, the last of which would park if staging sent it
+        let updates: Vec<Update> = (0..(WORKER_BACKLOG + 2) * DEFAULT_BATCH_SIZE)
             .map(|i| Update::new(i as u64 % 7, 1 + i as i64 % 3))
             .collect();
-        dispatcher.ingest(&updates[..BATCH]);
+        dispatcher.ingest(&updates[..DEFAULT_BATCH_SIZE]);
         dispatcher.fan_out();
+        assert_eq!(dispatcher.sent, 1, "the first piece sealed a window");
         let (done, staged) = channel();
         let staging = {
-            let updates = updates[BATCH..].to_vec();
+            let updates = updates[DEFAULT_BATCH_SIZE..].to_vec();
             std::thread::spawn(move || {
                 dispatcher.ingest(&updates);
                 let _ = done.send(dispatcher);
@@ -905,42 +1023,61 @@ mod tests {
         let mut dispatcher = staged.expect("staging returned while the worker was blocked");
         staging.join().expect("staging thread");
 
-        assert_eq!(dispatcher.unsent.len(), WORKER_BACKLOG + 1, "every full batch waits");
+        assert_eq!(dispatcher.staging.len(), (WORKER_BACKLOG + 1) * DEFAULT_BATCH_SIZE);
+        assert!(dispatcher.window.entries.is_empty(), "staging folds nothing");
         dispatcher.fan_out();
-        assert!(dispatcher.unsent.is_empty());
+        assert!(dispatcher.staging.is_empty());
         let states = dispatcher.snapshot().expect("the released worker answers");
-        let batches = states[0][0].downcast_ref::<Vec<Vec<(u64, i64)>>>().expect("gated state");
-        let sealed: Vec<Vec<(u64, i64)>> = updates.chunks(BATCH).map(coalesce_updates).collect();
-        assert_eq!(*batches, sealed, "every batch, coalesced once, in seal order");
+        let chunks = states[0][0].downcast_ref::<Vec<Vec<(u64, i64)>>>().expect("gated state");
+        let sealed: Vec<Vec<(u64, i64)>> =
+            updates.chunks(DEFAULT_BATCH_SIZE).map(coalesce_updates).collect();
+        assert_eq!(*chunks, sealed, "every coordinate, coalesced once, in seal order");
     }
 
     #[test]
-    fn a_digest_covers_acked_but_unsent_updates() {
-        const DIM: u64 = 1 << 10;
-        const SEED: u64 = 0xAC4;
-        let config = ServiceConfig::new(DIM, SEED);
-        let mut core = ServiceCore::new(&config);
-        let updates: Vec<Update> = (0..config.batch_size as u64)
-            .map(|i| Update::new(i * 37 % DIM, if i % 3 == 0 { -1 } else { 2 }))
-            .collect();
-        let ack = core.accept(Frame::UpdateBatch { tenant: 0, updates: updates.clone() });
-        assert!(matches!(ack, Ok(Frame::Reply(Reply::Ack { accepted: 1024 }))), "{ack:?}");
-        assert!(core.has_unsent(), "a full batch waits for the fan-out after its ack");
+    fn a_sealed_window_reaches_the_workers_in_chunks() {
+        // a closed gate never blocks
+        let gate = Arc::new(Mutex::new(channel::<()>().1));
+        let proto = Gated { chunks: Vec::new(), gate };
+        let mut dispatcher = Dispatcher::new(vec![Box::new(proto)], &[1.0], 1, 1 << 20, 1);
+        let updates: Vec<Update> = (0..2500).map(|i| Update::new(i, 1)).collect();
+        dispatcher.ingest(&updates);
+        dispatcher.fan_out();
+        assert_eq!(dispatcher.window.entries.len(), 2 * DEFAULT_BATCH_SIZE, "two pieces folded");
+        let states = dispatcher.snapshot().expect("the worker answers");
+        let chunks = states[0][0].downcast_ref::<Vec<Vec<(u64, i64)>>>().expect("gated state");
+        let lengths: Vec<usize> = chunks.iter().map(Vec::len).collect();
+        assert_eq!(
+            lengths,
+            [DEFAULT_BATCH_SIZE, DEFAULT_BATCH_SIZE, 2500 - 2 * DEFAULT_BATCH_SIZE]
+        );
+        assert_eq!(chunks.concat(), coalesce_updates(&updates), "one window, in order");
+    }
 
-        fn sequential<T: ServeQuery>(mut structure: T, updates: &[Update]) -> u64 {
+    const DIM: u64 = 1 << 14;
+    const SEED: u64 = 0xAC4;
+
+    /// Every catalog structure's digest after sequential ingestion of
+    /// `updates`, in [`crate::CATALOG_STRUCTURES`] order.
+    fn sequential_digests(updates: &[Update]) -> [u64; 7] {
+        fn digest<T: ServeQuery>(mut structure: T, updates: &[Update]) -> u64 {
             structure.ingest_batch(updates);
             structure.state_digest()
         }
         let p = CatalogPrototypes::standard(DIM, SEED);
-        let expected = [
-            sequential(p.sparse_recovery, &updates),
-            sequential(p.l0_sampler, &updates),
-            sequential(p.fis_l0, &updates),
-            sequential(p.count_sketch, &updates),
-            sequential(p.count_min, &updates),
-            sequential(p.count_median, &updates),
-            sequential(p.ams, &updates),
-        ];
+        [
+            digest(p.sparse_recovery, updates),
+            digest(p.l0_sampler, updates),
+            digest(p.fis_l0, updates),
+            digest(p.count_sketch, updates),
+            digest(p.count_min, updates),
+            digest(p.count_median, updates),
+            digest(p.ams, updates),
+        ]
+    }
+
+    /// Ask `core` for every structure's digest and compare it to `expected`.
+    fn assert_digests(core: &mut ServiceCore, expected: [u64; 7]) {
         for ((name, structure), digest) in crate::CATALOG_STRUCTURES.into_iter().zip(expected) {
             match core.apply(Frame::Query(Query::Digest { structure })) {
                 Ok(Frame::Reply(Reply::Digest { digest: served })) => {
@@ -948,7 +1085,80 @@ mod tests {
                 }
                 other => panic!("{name}: expected a digest, got {other:?}"),
             }
-            assert!(!core.has_unsent(), "the digest's publish sent every batch");
         }
+    }
+
+    /// Send `updates` to tenant 0 in frames of `frame` updates.
+    fn ingest(core: &mut ServiceCore, updates: &[Update], frame: usize) {
+        for updates in updates.chunks(frame) {
+            let ack = core.apply(Frame::UpdateBatch { tenant: 0, updates: updates.to_vec() });
+            assert!(matches!(ack, Ok(Frame::Reply(Reply::Ack { .. }))), "{ack:?}");
+        }
+    }
+
+    #[test]
+    fn a_digest_covers_acked_but_unsent_updates() {
+        let mut core = ServiceCore::new(&ServiceConfig::new(DIM, SEED));
+        let updates: Vec<Update> = (0..DEFAULT_BATCH_SIZE as u64)
+            .map(|i| Update::new(i * 37 % DIM, if i % 3 == 0 { -1 } else { 2 }))
+            .collect();
+        match core.accept(Frame::UpdateBatch { tenant: 0, updates: updates.clone() }) {
+            Ok(Frame::Reply(Reply::Ack { accepted })) => {
+                assert_eq!(accepted, DEFAULT_BATCH_SIZE as u64)
+            }
+            other => panic!("expected an ack, got {other:?}"),
+        }
+        assert!(core.needs_fan_out(), "a full piece waits for the fan-out after its ack");
+        assert_eq!(core.dispatcher.staging, updates, "the ack sorted nothing");
+        assert!(core.dispatcher.window.entries.is_empty(), "the ack folded nothing");
+
+        assert_digests(&mut core, sequential_digests(&updates));
+        assert!(core.dispatcher.staging.is_empty(), "the digest's publish folded every update");
+        assert!(core.dispatcher.window.entries.is_empty(), "and sent the window");
+    }
+
+    #[test]
+    fn a_window_spanning_many_frames_is_applied_in_chunks_like_sequential_ingestion() {
+        let mut core = ServiceCore::new(&ServiceConfig::new(DIM, SEED));
+        // 3000 insertions at distinct coordinates, then 3000 updates that
+        // alternately cancel one of them exactly and insert a new one
+        let insert = |k: u64| Update::new(k * 7919 % DIM, 1 + (k % 3) as i64);
+        let updates: Vec<Update> = (0..3000)
+            .map(insert)
+            .chain((0..3000).map(|k| {
+                let u = insert(k);
+                if k % 2 == 0 {
+                    Update::new(u.index, -u.delta)
+                } else {
+                    insert(3000 + k)
+                }
+            }))
+            .collect();
+        ingest(&mut core, &updates, 250);
+        let window = core.dispatcher.window.entries.len();
+        assert!(window > DEFAULT_BATCH_SIZE, "a window of {window} coordinates spans chunks");
+        assert!(core.dispatcher.staging.len() < DEFAULT_BATCH_SIZE, "every full piece folded");
+        assert_eq!(core.dispatcher.sent, 0, "the window stays open below its 4096 coordinates");
+
+        assert_digests(&mut core, sequential_digests(&updates));
+        assert_eq!(core.dispatcher.sent, 1, "the first digest sent one window");
+    }
+
+    #[test]
+    fn a_window_whose_updates_all_cancel_sends_nothing_and_keeps_the_rotation() {
+        let mut core = ServiceCore::new(&ServiceConfig::new(DIM, SEED).shards(2));
+        let inserts: Vec<Update> =
+            (0..1500u64).map(|k| Update::new(k * 7919 % DIM, 1 + (k % 3) as i64)).collect();
+        let deletes: Vec<Update> =
+            inserts.iter().rev().map(|u| Update::new(u.index, -u.delta)).collect();
+        let cancelling = [inserts.clone(), deletes].concat();
+        ingest(&mut core, &cancelling, 300);
+        assert_digests(&mut core, sequential_digests(&cancelling));
+        assert_eq!(core.dispatcher.sent, 0, "the publish sent no empty window");
+
+        // the next window is the first sent, so replica 0 takes it
+        ingest(&mut core, &inserts, 300);
+        assert_digests(&mut core, sequential_digests(&[cancelling, inserts].concat()));
+        assert_eq!(core.dispatcher.sent, 1);
     }
 }

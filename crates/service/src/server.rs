@@ -17,10 +17,12 @@
 //!   encoded and written: a slow socket never holds ingestion.
 //!
 //! An update batch is acknowledged once it is staged and counted under the
-//! core lock. The tenant-0 batches it seals reach the catalog's workers
-//! right after the ack is written: the connection locks the core again and
-//! sends every sealed batch still unsent, whichever connection sealed it.
-//! Every publish sends what is staged first, so digests stay linearized.
+//! core lock. Its tenant-0 updates are folded into the catalog's window
+//! right after the ack is written: if a full piece is staged, the
+//! connection locks the core again and folds every full piece, whichever
+//! connection staged it, sending the window to the workers if it fills.
+//! Every publish folds what is staged and sends the open window first, so
+//! digests stay linearized.
 //!
 //! Backpressure parks the producing connection, on the core lock or on a
 //! full channel of a catalog worker: that wait comes after its ack, before
@@ -304,12 +306,13 @@ fn serve_connection(
 
 /// Run `f` on the core under its lock, then write its reply once the guard
 /// is dropped: a slow socket never holds ingestion. If the core then holds
-/// sealed batches its workers have not been sent (this frame's, or another
-/// connection's), lock again and send them all: the ack goes out before
-/// the fan-out, and a full worker channel parks this connection before it
-/// reads its next frame. A core that is shutting down, or whose lock a
-/// panic mid-apply poisoned, gets a typed `Internal` refusal instead, and
-/// `false` closes the connection.
+/// a full staged piece of tenant-0 updates (this frame's, or another
+/// connection's too), lock again and fold every full piece into the
+/// catalog's window: the ack goes out before any sort, and a window that
+/// fills on a full worker channel parks this connection before it reads
+/// its next frame. A core that is shutting down, or whose lock a panic
+/// mid-apply poisoned, gets a typed `Internal` refusal instead, and `false`
+/// closes the connection.
 fn apply_locked(
     conn: &mut dyn Connection,
     core: &Mutex<ServiceCore>,
@@ -318,14 +321,14 @@ fn apply_locked(
 ) -> bool {
     let response = match core.lock() {
         Ok(mut guard) if !shutdown.load(Ordering::SeqCst) => {
-            Some((f(&mut guard), guard.has_unsent()))
+            Some((f(&mut guard), guard.needs_fan_out()))
         }
         _ => None,
     };
     match response {
-        Some((response, unsent)) => {
+        Some((response, full_piece)) => {
             let open = write_frame(conn, &response).is_ok();
-            if unsent {
+            if full_piece {
                 if let Ok(mut guard) = core.lock() {
                     guard.fan_out();
                 }

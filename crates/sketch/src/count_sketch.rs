@@ -221,8 +221,9 @@ impl CountSketch {
         );
         // Entry-major hash matrix: entry `e`'s row-`j` bucket hash lives at
         // `e * 2 * rows + j` and its sign hash `rows` further on. Batches are
-        // chunked upstream (DEFAULT_BATCH_SIZE / the engine dispatch batch),
-        // so the scratch stays batch-bounded.
+        // chunked upstream (DEFAULT_BATCH_SIZE, the engine dispatch batch,
+        // or the service's worker chunk of at most DEFAULT_BATCH_SIZE
+        // entries of a sealed window), so the scratch stays chunk-bounded.
         let mut hashes = vec![0u64; entries.len() * 2 * rows];
         for (&(index, _), entry) in entries.iter().zip(hashes.chunks_exact_mut(2 * rows)) {
             debug_assert!(index < self.dimension, "index out of range");
