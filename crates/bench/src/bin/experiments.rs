@@ -3,6 +3,7 @@
 //! Usage:
 //!   cargo run --release -p lps-bench --bin experiments -- all [--full]
 //!   cargo run --release -p lps-bench --bin experiments -- e1 e5 e9
+//!   cargo run --release -p lps-bench --bin experiments -- e12
 //!   cargo run --release -p lps-bench --bin experiments -- bench --json
 //!   cargo run --release -p lps-bench --bin experiments -- bench --json --check baseline.json
 //!   cargo run --release -p lps-bench --bin experiments -- checkpoint --dir D [--shards K]
@@ -14,7 +15,10 @@
 //!   cargo run --release -p lps-bench --bin experiments -- workload <spec.toml>... [--json] [--check]
 //!
 //! Without `--full` the harness runs in "quick" mode (fewer trials), which is
-//! what EXPERIMENTS.md reports; `--full` multiplies the trial counts. The
+//! what the README's Experiments section runs; `--full` multiplies the trial
+//! counts. `e12` times the per-operation cost of every sketch, sampler,
+//! duplicate finder and heavy-hitter structure (E12); like `e15` it runs
+//! only by name, never under `all`. The
 //! `bench` experiment runs the update-path throughput suite (E13), the
 //! sharded-ingestion engine scaling suite (E14), the multi-tenant
 //! registry suite (E15), and the field-kernel micro-bench suite (E17,
@@ -61,9 +65,12 @@
 use lps_bench::*;
 
 /// The ids the experiment runner accepts: `all`, the perf suites (`bench`),
-/// the paper's tables E1–E11 (E4 prints with E1), and the registry suite.
-const EXPERIMENT_IDS: &[&str] =
-    &["all", "bench", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e15"];
+/// the paper's tables E1–E11 (E4 prints with E1), the per-operation cost
+/// suite (E12) and the registry suite (E15).
+const EXPERIMENT_IDS: &[&str] = &[
+    "all", "bench", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
+    "e15",
+];
 
 /// Refuse the command line before anything runs: print `problem`, which
 /// names the bad argument, and exit with code 2.
@@ -297,8 +304,11 @@ fn main() {
     if wants("e11") {
         println!("{}", e11_hh_reduction(quick).render());
     }
-    // E15 is a perf measurement like E13/E14: it runs inside the bench block
-    // above when measuring, and here only when asked for by name.
+    // E12 and E15 are perf measurements, not statistical experiments: they
+    // run only when asked for by name (E15 also inside the bench block above).
+    if selected.iter().any(|s| s == "e12") {
+        println!("{}", ops_table(&ops_suite(quick)).render());
+    }
     if selected.iter().any(|s| s == "e15") {
         println!("{}", registry_table(&registry_suite(quick)).render());
     }

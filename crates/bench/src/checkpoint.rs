@@ -23,12 +23,9 @@
 
 use std::path::{Path, PathBuf};
 
-use lps_core::{FisL0Sampler, L0Sampler};
 use lps_engine::{merge_checkpointed, EngineBuilder, ShardIngest};
-use lps_hash::SeedSequence;
-use lps_sketch::{
-    AmsSketch, CountMedianSketch, CountMinSketch, CountSketch, Persist, SparseRecovery,
-};
+use lps_service::CatalogPrototypes;
+use lps_sketch::Persist;
 use lps_stream::Update;
 
 use crate::throughput::workload;
@@ -39,14 +36,11 @@ const CHECKPOINT_DIMENSION: u64 = 1 << 14;
 const CHECKPOINT_UPDATES: usize = 60_000;
 /// Master seed of the workload stream.
 const WORKLOAD_SEED: u64 = 0xC4EC;
-/// Master seed every structure's constructor draws from.
+/// Master seed of [`CatalogPrototypes::standard`], which both phases build
+/// the structures from: the service catalog's seven exact-arithmetic
+/// [`ShardIngest`] implementors, whose cross-process merge must be
+/// bit-identical to sequential ingestion.
 const STRUCTURE_SEED: u64 = 0x5EED;
-
-/// The structures the checkpoint pipeline covers: every exact-arithmetic
-/// [`ShardIngest`] implementor (the ones whose cross-process merge must be
-/// bit-identical to sequential ingestion).
-pub const CHECKPOINT_STRUCTURES: [&str; 7] =
-    ["sparse_recovery", "l0_sampler", "fis_l0", "count_sketch", "count_min", "count_median", "ams"];
 
 /// The deterministic workload both phases regenerate independently.
 fn checkpoint_workload() -> Vec<Update> {
@@ -60,7 +54,7 @@ fn shard_file(dir: &Path, structure: &str, shard: usize) -> PathBuf {
 /// Outcome of one structure's write or merge phase, for the report table.
 #[derive(Debug)]
 pub struct CheckpointOutcome {
-    /// Structure identifier (one of [`CHECKPOINT_STRUCTURES`]).
+    /// Structure identifier (a name in [`lps_service::CATALOG_STRUCTURES`]).
     pub structure: &'static str,
     /// Digest of the merged (or, in the write phase, sequential) state.
     pub digest: u64,
@@ -132,43 +126,14 @@ fn merge_one<T: ShardIngest + Persist + 'static>(
     Ok(CheckpointOutcome { structure, digest, bytes, matched: digest == sequential.state_digest() })
 }
 
-/// Build the prototype structures from the fixed master seed, in
-/// [`CHECKPOINT_STRUCTURES`] order. Each phase rebuilds them identically, so
-/// shard files and the sequential reference share every random function.
-struct Prototypes {
-    sparse_recovery: SparseRecovery,
-    l0: L0Sampler,
-    fis_l0: FisL0Sampler,
-    count_sketch: CountSketch,
-    count_min: CountMinSketch,
-    count_median: CountMedianSketch,
-    ams: AmsSketch,
-}
-
-impl Prototypes {
-    fn build() -> Self {
-        let n = CHECKPOINT_DIMENSION;
-        let mut seeds = SeedSequence::new(STRUCTURE_SEED);
-        Prototypes {
-            sparse_recovery: SparseRecovery::new(n, 8, &mut seeds),
-            l0: L0Sampler::new(n, 0.25, &mut seeds),
-            fis_l0: FisL0Sampler::new(n, &mut seeds),
-            count_sketch: CountSketch::with_default_rows(n, 16, &mut seeds),
-            count_min: CountMinSketch::new(n, 256, 7, &mut seeds),
-            count_median: CountMedianSketch::new(n, 256, 7, &mut seeds),
-            ams: AmsSketch::with_default_shape(n, &mut seeds),
-        }
-    }
-}
-
 /// Phase 1: checkpoint every structure's sharded ingestion into `dir`.
 pub fn checkpoint_write(dir: &Path, shards: usize) -> std::io::Result<Vec<CheckpointOutcome>> {
     std::fs::create_dir_all(dir)?;
     let updates = checkpoint_workload();
-    let protos = Prototypes::build();
+    let protos = CatalogPrototypes::standard(CHECKPOINT_DIMENSION, STRUCTURE_SEED);
     Ok(vec![
         write_one("sparse_recovery", &protos.sparse_recovery, &updates, shards, dir)?,
-        write_one("l0_sampler", &protos.l0, &updates, shards, dir)?,
+        write_one("l0_sampler", &protos.l0_sampler, &updates, shards, dir)?,
         write_one("fis_l0", &protos.fis_l0, &updates, shards, dir)?,
         write_one("count_sketch", &protos.count_sketch, &updates, shards, dir)?,
         write_one("count_min", &protos.count_min, &updates, shards, dir)?,
@@ -182,10 +147,10 @@ pub fn checkpoint_write(dir: &Path, shards: usize) -> std::io::Result<Vec<Checkp
 /// the caller whether to fail the process.
 pub fn checkpoint_merge(dir: &Path) -> Result<Vec<CheckpointOutcome>, String> {
     let updates = checkpoint_workload();
-    let protos = Prototypes::build();
+    let protos = CatalogPrototypes::standard(CHECKPOINT_DIMENSION, STRUCTURE_SEED);
     Ok(vec![
         merge_one("sparse_recovery", &protos.sparse_recovery, &updates, dir)?,
-        merge_one("l0_sampler", &protos.l0, &updates, dir)?,
+        merge_one("l0_sampler", &protos.l0_sampler, &updates, dir)?,
         merge_one("fis_l0", &protos.fis_l0, &updates, dir)?,
         merge_one("count_sketch", &protos.count_sketch, &updates, dir)?,
         merge_one("count_min", &protos.count_min, &updates, dir)?,
@@ -220,7 +185,8 @@ mod tests {
     fn write_then_merge_roundtrips_in_process() {
         let dir = std::env::temp_dir().join(format!("lps-checkpoint-test-{}", std::process::id()));
         let written = checkpoint_write(&dir, 3).expect("write phase");
-        assert_eq!(written.len(), CHECKPOINT_STRUCTURES.len());
+        let names = lps_service::CATALOG_STRUCTURES.map(|(name, _)| name);
+        assert!(written.iter().map(|w| w.structure).eq(names), "one outcome per catalog structure");
         let merged = checkpoint_merge(&dir).expect("merge phase");
         for (w, m) in written.iter().zip(merged.iter()) {
             assert_eq!(w.structure, m.structure);

@@ -20,11 +20,11 @@
 //! loops used before the rewiring) and `lanes` mode (the batch kernels the
 //! `process_batch` impls now call). Both modes produce bit-identical
 //! outputs — checked here on every run, not assumed — so the ratio is pure
-//! throughput. The records ride in `BENCH_samplers.json` next to the E13
-//! throughput records (`structure`/`mode` keyed the same way), and two of
-//! the ratios are stamped as (ungated) headline keys.
-
-use std::time::Instant;
+//! throughput. Each record is the median of its passes, one sweep over the
+//! keys each, timed by the same `time_passes` as E12–E14. The records ride
+//! in `BENCH_samplers.json` next to the E13 throughput records
+//! (`structure`/`mode` keyed the same way), and two of the ratios are
+//! stamped as (ungated) headline keys.
 
 use lps_hash::field::horner;
 use lps_hash::simd::{self, PolyBank};
@@ -32,31 +32,11 @@ use lps_hash::{Fp, KWiseHash, PowTable, SeedSequence};
 use lps_sketch::{fingerprint_term, fingerprint_terms};
 
 use crate::report::{f1, int, Table};
-use crate::throughput::{speedup, ThroughputRecord};
+use crate::throughput::{speedup, time_passes, ThroughputRecord};
 
 /// Nominal dimension stamped into the kernel records (keys are drawn from
 /// `[0, 2^20)`, matching the structure-level suites).
 const KERNEL_DIMENSION: u64 = 1 << 20;
-
-/// Measure `run` over `ops` logical kernel evaluations.
-fn time_kernel(
-    structure: &'static str,
-    mode: &'static str,
-    ops: u64,
-    mut run: impl FnMut(),
-) -> ThroughputRecord {
-    let start = Instant::now();
-    run();
-    let elapsed_ns = start.elapsed().as_nanos().max(1);
-    ThroughputRecord {
-        structure,
-        mode,
-        dimension: KERNEL_DIMENSION,
-        updates: ops,
-        elapsed_ns,
-        updates_per_sec: ops as f64 / (elapsed_ns as f64 / 1e9),
-    }
-}
 
 /// Deterministic keys in `[0, 2^20)` — the coordinate shape every structure
 /// hashes.
@@ -79,28 +59,24 @@ fn horner_pair(
     let mut seeds = SeedSequence::new(0xE17 ^ k as u64);
     let hash = KWiseHash::new(k, &mut seeds);
     let coeffs: Vec<Fp> = hash.coefficients().to_vec();
-    let ops = (keys.len() * passes) as u64;
     let mut scalar_out = vec![0u64; keys.len()];
-    out.push(time_kernel(structure, "scalar", ops, || {
-        for _ in 0..passes {
-            for (o, &key) in scalar_out.iter_mut().zip(keys.iter()) {
-                *o = horner(&coeffs, Fp::from_reduced(key)).value();
-            }
-            std::hint::black_box(&scalar_out);
+    out.push(time_passes(structure, "scalar", KERNEL_DIMENSION, keys.len(), passes, || {
+        for (o, &key) in scalar_out.iter_mut().zip(keys.iter()) {
+            *o = horner(&coeffs, Fp::from_reduced(key)).value();
         }
+        std::hint::black_box(&scalar_out);
     }));
     let mut lanes_out = vec![0u64; keys.len()];
-    out.push(time_kernel(structure, "lanes", ops, || {
-        for _ in 0..passes {
-            hash.hash_keys(keys, &mut lanes_out);
-            std::hint::black_box(&lanes_out);
-        }
+    out.push(time_passes(structure, "lanes", KERNEL_DIMENSION, keys.len(), passes, || {
+        hash.hash_keys(keys, &mut lanes_out);
+        std::hint::black_box(&lanes_out);
     }));
     assert_identical(structure, &scalar_out, &lanes_out);
 }
 
-/// Run the E17 kernel suite. Quick mode shrinks the evaluation counts so CI
-/// can afford it; both modes verify scalar/lane output equality inline.
+/// Run the E17 kernel suite: the median of 5 passes over 20 000 keys quick,
+/// of 20 passes over 100 000 keys full. Both modes verify scalar/lane output
+/// equality inline.
 pub fn kernel_suite(quick: bool) -> Vec<ThroughputRecord> {
     let keys = kernel_keys(if quick { 20_000 } else { 100_000 }, 0xE17);
     let passes = if quick { 5 } else { 20 };
@@ -113,22 +89,17 @@ pub fn kernel_suite(quick: bool) -> Vec<ThroughputRecord> {
     // windowed fingerprint powers r^index
     {
         let table = PowTable::new(Fp::new(0xF1A6_E521));
-        let ops = (keys.len() * passes) as u64;
         let mut scalar_out = vec![0u64; keys.len()];
-        out.push(time_kernel("pow_window", "scalar", ops, || {
-            for _ in 0..passes {
-                for (o, &key) in scalar_out.iter_mut().zip(keys.iter()) {
-                    *o = table.pow(key).value();
-                }
-                std::hint::black_box(&scalar_out);
+        out.push(time_passes("pow_window", "scalar", KERNEL_DIMENSION, keys.len(), passes, || {
+            for (o, &key) in scalar_out.iter_mut().zip(keys.iter()) {
+                *o = table.pow(key).value();
             }
+            std::hint::black_box(&scalar_out);
         }));
         let mut lanes_out = vec![0u64; keys.len()];
-        out.push(time_kernel("pow_window", "lanes", ops, || {
-            for _ in 0..passes {
-                simd::pow_many(&table, &keys, &mut lanes_out);
-                std::hint::black_box(&lanes_out);
-            }
+        out.push(time_passes("pow_window", "lanes", KERNEL_DIMENSION, keys.len(), passes, || {
+            simd::pow_many(&table, &keys, &mut lanes_out);
+            std::hint::black_box(&lanes_out);
         }));
         assert_identical("pow_window", &scalar_out, &lanes_out);
     }
@@ -143,20 +114,16 @@ pub fn kernel_suite(quick: bool) -> Vec<ThroughputRecord> {
                 .map(|(i, d)| (i, if d == 0 { 1 } else { d }))
                 .collect()
         };
-        let ops = (entries.len() * passes) as u64;
+        let ops = entries.len();
         let mut scalar_out: Vec<Fp> = Vec::new();
-        out.push(time_kernel("fingerprint_term", "scalar", ops, || {
-            for _ in 0..passes {
-                scalar_out = entries.iter().map(|&(i, d)| fingerprint_term(i, d, &table)).collect();
-                std::hint::black_box(&scalar_out);
-            }
+        out.push(time_passes("fingerprint_term", "scalar", KERNEL_DIMENSION, ops, passes, || {
+            scalar_out = entries.iter().map(|&(i, d)| fingerprint_term(i, d, &table)).collect();
+            std::hint::black_box(&scalar_out);
         }));
         let mut lanes_out: Vec<Fp> = Vec::new();
-        out.push(time_kernel("fingerprint_term", "lanes", ops, || {
-            for _ in 0..passes {
-                lanes_out = fingerprint_terms(&entries, &table);
-                std::hint::black_box(&lanes_out);
-            }
+        out.push(time_passes("fingerprint_term", "lanes", KERNEL_DIMENSION, ops, passes, || {
+            lanes_out = fingerprint_terms(&entries, &table);
+            std::hint::black_box(&lanes_out);
         }));
         assert_eq!(scalar_out, lanes_out, "E17 fingerprint_term: lane kernel diverged");
     }
@@ -169,25 +136,21 @@ pub fn kernel_suite(quick: bool) -> Vec<ThroughputRecord> {
         let bank = PolyBank::new(polys.iter().map(|p| p.as_slice()));
         // the per-key cost is 128 polynomial evaluations, so fewer keys
         let bank_keys = &keys[..keys.len() / 10];
-        let ops = (bank_keys.len() * passes) as u64;
+        let ops = bank_keys.len();
         let mut scalar_out = vec![0u64; polys.len()];
-        out.push(time_kernel("ams_polybank", "scalar", ops, || {
-            for _ in 0..passes {
-                for &key in bank_keys {
-                    for (o, poly) in scalar_out.iter_mut().zip(polys.iter()) {
-                        *o = horner(poly, Fp::from_reduced(key)).value();
-                    }
-                    std::hint::black_box(&scalar_out);
+        out.push(time_passes("ams_polybank", "scalar", KERNEL_DIMENSION, ops, passes, || {
+            for &key in bank_keys {
+                for (o, poly) in scalar_out.iter_mut().zip(polys.iter()) {
+                    *o = horner(poly, Fp::from_reduced(key)).value();
                 }
+                std::hint::black_box(&scalar_out);
             }
         }));
         let mut lanes_out = vec![0u64; polys.len()];
-        out.push(time_kernel("ams_polybank", "lanes", ops, || {
-            for _ in 0..passes {
-                for &key in bank_keys {
-                    bank.eval_key(key, &mut lanes_out);
-                    std::hint::black_box(&lanes_out);
-                }
+        out.push(time_passes("ams_polybank", "lanes", KERNEL_DIMENSION, ops, passes, || {
+            for &key in bank_keys {
+                bank.eval_key(key, &mut lanes_out);
+                std::hint::black_box(&lanes_out);
             }
         }));
         assert_identical("ams_polybank", &scalar_out, &lanes_out);

@@ -1,15 +1,17 @@
 //! # lps-bench
 //!
 //! The experiment harness of the reproduction: every experiment listed in
-//! EXPERIMENTS.md (E1–E11) has a function here that regenerates its table,
-//! and the `experiments` binary runs them (`cargo run --release -p lps-bench
-//! --bin experiments -- all`). Criterion micro-benchmarks for update
-//! throughput (E12) live under `benches/`, and the wall-clock throughput
-//! suites behind `BENCH_samplers.json` — single-thread E13, the sharded
-//! ingestion engine scaling E14, and the multi-tenant registry suite E15
-//! ([`e_registry`]) — live in [`throughput`] and [`e_registry`]
-//! (`experiments -- bench --json`), together with the headline-ratio
-//! regression gate CI runs via `experiments -- bench --check <baseline>`.
+//! the README's Experiments section (E1–E11) has a function here that
+//! regenerates its table, and the `experiments` binary runs them (`cargo run
+//! --release -p lps-bench --bin experiments -- all`). The same binary runs
+//! the per-operation cost suite E12 ([`e_ops`], `experiments -- e12`) and
+//! the wall-clock throughput suites behind `BENCH_samplers.json` —
+//! single-thread E13 and the sharded ingestion engine scaling E14
+//! ([`throughput`]), the multi-tenant registry suite E15 ([`e_registry`])
+//! and the field-kernel suite E17 ([`kernels`]) — via `experiments -- bench
+//! --json`, together with the headline-ratio regression gate CI runs via
+//! `experiments -- bench --check <baseline>`. E12, E13/E14 and E17 time
+//! through one median-of-passes timer in [`throughput`].
 //! The [`checkpoint`] module backs `experiments -- checkpoint`, the
 //! cross-process checkpoint → shard files → merge → digest-compare pipeline,
 //! and the [`crashtest`] module backs `experiments -- crashtest`, the
@@ -24,6 +26,7 @@ pub mod crashtest;
 pub mod e_duplicates;
 pub mod e_heavy;
 pub mod e_lower;
+pub mod e_ops;
 pub mod e_registry;
 pub mod e_samplers;
 pub mod kernels;
@@ -32,14 +35,13 @@ pub mod service_loopback;
 pub mod throughput;
 pub mod workload_cli;
 
-pub use checkpoint::{
-    checkpoint_merge, checkpoint_write, render_outcomes, CheckpointOutcome, CHECKPOINT_STRUCTURES,
-};
+pub use checkpoint::{checkpoint_merge, checkpoint_write, render_outcomes, CheckpointOutcome};
 pub use cli::{Args, Flags, UsageError};
 pub use crashtest::{crashtest_child, crashtest_parent, CrashOutcome};
 pub use e_duplicates::{e5_duplicates, e6_duplicates_short, e7_duplicates_long};
 pub use e_heavy::e8_heavy_hitters;
 pub use e_lower::{e10_reductions, e11_hh_reduction, e9_ur_protocol};
+pub use e_ops::{ops_suite, ops_table};
 pub use e_registry::{
     registry_suite, registry_table, RegistryRecord, E15_MAX_RESIDENT, E15_ZIPF_ALPHA,
 };

@@ -1,5 +1,5 @@
-//! Minimal plain-text reporting for the experiment harness: aligned tables
-//! that are pasted verbatim into EXPERIMENTS.md.
+//! Minimal plain-text reporting for the experiment harness: the aligned
+//! tables every experiment prints (see the README's Experiments section).
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone)]

@@ -59,28 +59,29 @@ pub struct ThroughputRecord {
     pub updates_per_sec: f64,
 }
 
-/// Passes each quick-mode E13/E14/E15 record is timed over; the record
+/// Passes each quick-mode E12/E13/E14/E15 record is timed over; the record
 /// keeps the median pass. A quick pass lasts only milliseconds, so one pass
 /// that lands on a scheduler hiccup or a cold cache would otherwise move a
 /// gated headline ratio by itself. Full mode times one pass of a workload
 /// ten times larger.
 pub(crate) const QUICK_PASSES: usize = 5;
 
-/// Time `passes` runs of `run` over `batch` and record the median pass.
-/// Each pass continues on the state the previous one left: the update
-/// paths cost the same whatever the counter values.
-fn time_updates(
+/// Time `passes` runs of `pass`, each `ops` operations on a structure over
+/// `[0, dimension)`, and record the median pass. Each pass continues on the
+/// state the previous one left: the timed operations cost the same whatever
+/// the counter values.
+pub(crate) fn time_passes(
     structure: &'static str,
     mode: &'static str,
     dimension: u64,
-    batch: &[Update],
+    ops: usize,
     passes: usize,
-    mut run: impl FnMut(&[Update]),
+    mut pass: impl FnMut(),
 ) -> ThroughputRecord {
     let mut elapsed: Vec<u128> = (0..passes)
         .map(|_| {
             let start = Instant::now();
-            run(batch);
+            pass();
             start.elapsed().as_nanos().max(1)
         })
         .collect();
@@ -90,9 +91,9 @@ fn time_updates(
         structure,
         mode,
         dimension,
-        updates: batch.len() as u64,
+        updates: ops as u64,
         elapsed_ns,
-        updates_per_sec: batch.len() as f64 / (elapsed_ns as f64 / 1e9),
+        updates_per_sec: ops as f64 / (elapsed_ns as f64 / 1e9),
     }
 }
 
@@ -124,6 +125,7 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
     let batch = workload(n, heavy_updates, 0xBE7C);
     let light = &batch[..light_updates];
     let passes = if quick { QUICK_PASSES } else { 1 };
+    let heavy = batch.len();
     let mut out = Vec::new();
 
     // --- sparse recovery (Lemma 5), the hottest kernel in the workspace ---
@@ -131,20 +133,20 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(1);
         let proto = SparseRecovery::new(n, 8, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("sparse_recovery", "reference", n, &batch, passes, |b| {
-            for u in b {
+        out.push(time_passes("sparse_recovery", "reference", n, heavy, passes, || {
+            for u in &batch {
                 a.update_reference(u.index, u.delta);
             }
         }));
-        let mut b_ = proto.clone();
-        out.push(time_updates("sparse_recovery", "sequential", n, &batch, passes, |b| {
-            for u in b {
-                b_.update(u.index, u.delta);
+        let mut b = proto.clone();
+        out.push(time_passes("sparse_recovery", "sequential", n, heavy, passes, || {
+            for u in &batch {
+                b.update(u.index, u.delta);
             }
         }));
         let mut c = proto;
-        out.push(time_updates("sparse_recovery", "batched", n, &batch, passes, |b| {
-            for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
+        out.push(time_passes("sparse_recovery", "batched", n, heavy, passes, || {
+            for chunk in batch.chunks(DEFAULT_BATCH_SIZE) {
                 c.process_batch(chunk);
             }
         }));
@@ -155,19 +157,21 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(2);
         let proto = L0Sampler::new(n, 0.25, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("l0_sampler", "reference", n, &batch, passes, |b| {
-            for u in b {
+        out.push(time_passes("l0_sampler", "reference", n, heavy, passes, || {
+            for u in &batch {
                 a.process_update_reference(*u);
             }
         }));
-        let mut b_ = proto.clone();
-        out.push(time_updates("l0_sampler", "sequential", n, &batch, passes, |b| {
-            for u in b {
-                b_.process_update(*u);
+        let mut b = proto.clone();
+        out.push(time_passes("l0_sampler", "sequential", n, heavy, passes, || {
+            for u in &batch {
+                b.process_update(*u);
             }
         }));
         let mut c = proto;
-        out.push(time_updates("l0_sampler", "batched", n, &batch, passes, |b| chunked(&mut c, b)));
+        out.push(time_passes("l0_sampler", "batched", n, heavy, passes, || {
+            chunked(&mut c, &batch)
+        }));
     }
 
     // --- FIS-style L0 baseline (shared fingerprint base across all slots) ---
@@ -175,41 +179,36 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(3);
         let proto = FisL0Sampler::new(n, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("fis_l0", "sequential", n, light, passes, |b| {
-            for u in b {
+        out.push(time_passes("fis_l0", "sequential", n, light.len(), passes, || {
+            for u in light {
                 a.process_update(*u);
             }
         }));
-        let mut b_ = proto;
-        out.push(time_updates("fis_l0", "batched", n, light, passes, |b| chunked(&mut b_, b)));
+        let mut b = proto;
+        out.push(time_passes("fis_l0", "batched", n, light.len(), passes, || {
+            chunked(&mut b, light)
+        }));
     }
 
-    // --- precision Lp sampler and the AKO baseline ---
+    // --- precision Lp sampler and the AKO baseline (per-update path only:
+    // their batch path is the default loop over it) ---
     {
         let mut s = SeedSequence::new(4);
-        let proto = PrecisionLpSampler::new(n, 1.0, 0.25, &mut s);
-        let mut a = proto.clone();
-        out.push(time_updates("precision_lp", "sequential", n, light, passes, |b| {
-            for u in b {
+        let mut a = PrecisionLpSampler::new(n, 1.0, 0.25, &mut s);
+        out.push(time_passes("precision_lp", "sequential", n, light.len(), passes, || {
+            for u in light {
                 a.process_update(*u);
             }
-        }));
-        let mut b_ = proto;
-        out.push(time_updates("precision_lp", "batched", n, light, passes, |b| {
-            chunked(&mut b_, b)
         }));
     }
     {
         let mut s = SeedSequence::new(5);
-        let proto = AkoSampler::new(n, 1.0, 0.25, &mut s);
-        let mut a = proto.clone();
-        out.push(time_updates("ako_sampler", "sequential", n, light, passes, |b| {
-            for u in b {
+        let mut a = AkoSampler::new(n, 1.0, 0.25, &mut s);
+        out.push(time_passes("ako_sampler", "sequential", n, light.len(), passes, || {
+            for u in light {
                 a.process_update(*u);
             }
         }));
-        let mut b_ = proto;
-        out.push(time_updates("ako_sampler", "batched", n, light, passes, |b| chunked(&mut b_, b)));
     }
 
     // --- the plain sketches ---
@@ -217,15 +216,15 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(6);
         let proto = CountSketch::with_default_rows(n, 16, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("count_sketch", "sequential", n, &batch, passes, |b| {
-            for u in b {
+        out.push(time_passes("count_sketch", "sequential", n, heavy, passes, || {
+            for u in &batch {
                 a.update_int(*u);
             }
         }));
-        let mut b_ = proto;
-        out.push(time_updates("count_sketch", "batched", n, &batch, passes, |b| {
-            for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
-                b_.process_batch(chunk);
+        let mut b = proto;
+        out.push(time_passes("count_sketch", "batched", n, heavy, passes, || {
+            for chunk in batch.chunks(DEFAULT_BATCH_SIZE) {
+                b.process_batch(chunk);
             }
         }));
     }
@@ -233,15 +232,15 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(7);
         let proto = CountMinSketch::new(n, 1024, 7, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("count_min", "sequential", n, &batch, passes, |b| {
-            for u in b {
+        out.push(time_passes("count_min", "sequential", n, heavy, passes, || {
+            for u in &batch {
                 a.update(u.index, u.delta);
             }
         }));
-        let mut b_ = proto;
-        out.push(time_updates("count_min", "batched", n, &batch, passes, |b| {
-            for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
-                b_.process_batch(chunk);
+        let mut b = proto;
+        out.push(time_passes("count_min", "batched", n, heavy, passes, || {
+            for chunk in batch.chunks(DEFAULT_BATCH_SIZE) {
+                b.process_batch(chunk);
             }
         }));
     }
@@ -249,15 +248,15 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(8);
         let proto = AmsSketch::with_default_shape(n, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("ams_sketch", "sequential", n, light, passes, |b| {
-            for u in b {
+        out.push(time_passes("ams_sketch", "sequential", n, light.len(), passes, || {
+            for u in light {
                 a.update_int(*u);
             }
         }));
-        let mut b_ = proto;
-        out.push(time_updates("ams_sketch", "batched", n, light, passes, |b| {
-            for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
-                b_.process_batch(chunk);
+        let mut b = proto;
+        out.push(time_passes("ams_sketch", "batched", n, light.len(), passes, || {
+            for chunk in light.chunks(DEFAULT_BATCH_SIZE) {
+                b.process_batch(chunk);
             }
         }));
     }
@@ -265,15 +264,15 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(9);
         let proto = PStableSketch::with_default_rows(n, 1.0, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("pstable_sketch", "sequential", n, light, passes, |b| {
-            for u in b {
+        out.push(time_passes("pstable_sketch", "sequential", n, light.len(), passes, || {
+            for u in light {
                 a.update_int(*u);
             }
         }));
-        let mut b_ = proto;
-        out.push(time_updates("pstable_sketch", "batched", n, light, passes, |b| {
-            for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
-                b_.process_batch(chunk);
+        let mut b = proto;
+        out.push(time_passes("pstable_sketch", "batched", n, light.len(), passes, || {
+            for chunk in light.chunks(DEFAULT_BATCH_SIZE) {
+                b.process_batch(chunk);
             }
         }));
     }
@@ -283,15 +282,15 @@ pub fn throughput_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(10);
         let proto = CountSketchHeavyHitters::new(n, 1.0, 0.125, &mut s);
         let mut a = proto.clone();
-        out.push(time_updates("cs_heavy_hitters", "sequential", n, light, passes, |b| {
-            for u in b {
+        out.push(time_passes("cs_heavy_hitters", "sequential", n, light.len(), passes, || {
+            for u in light {
                 a.update(u.index, u.delta);
             }
         }));
-        let mut b_ = proto;
-        out.push(time_updates("cs_heavy_hitters", "batched", n, light, passes, |b| {
-            for chunk in b.chunks(DEFAULT_BATCH_SIZE) {
-                b_.process_batch(chunk);
+        let mut b = proto;
+        out.push(time_passes("cs_heavy_hitters", "batched", n, light.len(), passes, || {
+            for chunk in light.chunks(DEFAULT_BATCH_SIZE) {
+                b.process_batch(chunk);
             }
         }));
     }
@@ -331,18 +330,25 @@ pub fn engine_scaling_suite(quick: bool) -> Vec<ThroughputRecord> {
         let mut s = SeedSequence::new(14);
         let proto = SparseRecovery::new(n, 8, &mut s);
         for shards in ENGINE_SHARD_COUNTS {
-            out.push(time_updates("sparse_recovery", shard_mode(shards), n, &batch, passes, |b| {
-                let merged = parallel_ingest(&proto, b, shards);
-                std::hint::black_box(&merged);
-            }));
+            out.push(time_passes(
+                "sparse_recovery",
+                shard_mode(shards),
+                n,
+                batch.len(),
+                passes,
+                || {
+                    let merged = parallel_ingest(&proto, &batch, shards);
+                    std::hint::black_box(&merged);
+                },
+            ));
         }
     }
     {
         let mut s = SeedSequence::new(15);
         let proto = L0Sampler::new(n, 0.25, &mut s);
         for shards in ENGINE_SHARD_COUNTS {
-            out.push(time_updates("l0_sampler", shard_mode(shards), n, &batch, passes, |b| {
-                let merged = parallel_ingest(&proto, b, shards);
+            out.push(time_passes("l0_sampler", shard_mode(shards), n, batch.len(), passes, || {
+                let merged = parallel_ingest(&proto, &batch, shards);
                 std::hint::black_box(&merged);
             }));
         }

@@ -238,7 +238,8 @@ mod tests {
         assert!(ratio < 4.0, "message growth {ratio:.2} is too fast for a polylog protocol");
         // Relative to the deterministic n-bit protocol the sketch message must
         // shrink as n grows (polylog vs linear); the absolute crossover happens
-        // at larger n than a unit test can afford (EXPERIMENTS.md, E9).
+        // at larger n than a unit test can afford (experiment E9, see the
+        // README's Experiments section).
         let small_overhead = small.message_bits as f64 / small_n as f64;
         let large_overhead = large.message_bits as f64 / large_n as f64;
         assert!(

@@ -77,22 +77,6 @@ impl LpSampler for AkoSampler {
         self.norm_sketch.update(i, delta);
     }
 
-    /// Batched fast path: cache the scale multiplier per distinct index and
-    /// apply updates in stream order (same discipline as the paper's
-    /// precision sampler — see `PrecisionLpSampler::process_batch`).
-    fn process_batch(&mut self, updates: &[Update]) {
-        let mut multipliers: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-        for u in updates {
-            debug_assert!(u.index < self.dimension);
-            let mult = *multipliers
-                .entry(u.index)
-                .or_insert_with(|| self.scaling_factor(u.index).powf(-1.0 / self.p));
-            let delta = u.delta as f64;
-            self.count_sketch.update(u.index, delta * mult);
-            self.norm_sketch.update(u.index, delta);
-        }
-    }
-
     fn sample(&self) -> Option<Sample> {
         let r = self.norm_sketch.upper_estimate();
         if r.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {

@@ -4,7 +4,7 @@
 //! distribution of Definition 1 and samples from it. It is *not* a streaming
 //! algorithm (Θ(n log n) bits); its only purpose is to provide the reference
 //! distribution and reference estimates the sketched samplers are compared
-//! against in EXPERIMENTS.md.
+//! against in the experiments (see the README's Experiments section).
 
 use lps_hash::SeedSequence;
 use lps_sketch::persist::tags;

@@ -325,7 +325,7 @@ mod tests {
         // The headline comparison of Experiment E3 is asymptotic: the FIS
         // baseline uses O(log³ n) bits versus Theorem 2's O(log² n). At
         // practical n the constants of the sparse-recovery structure make the
-        // absolute numbers close (EXPERIMENTS.md reports both), so the test
+        // absolute numbers close (experiment E3 reports both), so the test
         // checks the *growth rates*: going from n = 2^10 to n = 2^24 the FIS
         // footprint must grow by a strictly larger factor than Theorem 2's.
         let grow =

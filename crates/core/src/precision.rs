@@ -174,25 +174,6 @@ impl LpSampler for PrecisionLpSampler {
         self.norm_sketch.update(i, delta);
     }
 
-    /// Batched fast path: the scale multiplier `t_i^{−1/p}` (one k-wise
-    /// hash evaluation plus a `powf`) is a pure function of the index, so it
-    /// is computed once per distinct index in the batch and reused; updates
-    /// are applied in stream order so every internal sketch accumulates in
-    /// exactly the sequential order (bit-identical state).
-    fn process_batch(&mut self, updates: &[Update]) {
-        let mut multipliers: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-        for u in updates {
-            debug_assert!(u.index < self.dimension);
-            let mult =
-                *multipliers.entry(u.index).or_insert_with(|| self.scale_multiplier(u.index));
-            let delta = u.delta as f64;
-            let scaled = delta * mult;
-            self.count_sketch.update(u.index, scaled);
-            self.l2_sketch.update(u.index, scaled);
-            self.norm_sketch.update(u.index, delta);
-        }
-    }
-
     fn sample(&self) -> Option<Sample> {
         let state = self.recovery_state();
         if state.r.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {

@@ -75,7 +75,7 @@ impl<S: LpSampler> LpSampler for RepeatedSampler<S> {
     }
 
     /// Forward the batch to every copy so each inner sampler's own batched
-    /// fast path (coalescing, cached multipliers) kicks in.
+    /// path (the L0 samplers' coalescing, for instance) runs.
     fn process_batch(&mut self, updates: &[Update]) {
         for c in self.copies.iter_mut() {
             c.process_batch(updates);

@@ -79,8 +79,8 @@ impl PositiveCoordinateFinder {
         }
     }
 
-    /// Process a batch of updates, letting every sampler copy use its
-    /// batched fast path (cached scale multipliers per distinct index).
+    /// Process a batch of updates through every sampler copy's
+    /// `process_batch`.
     pub fn process_batch(&mut self, updates: &[Update]) {
         for c in self.copies.iter_mut() {
             c.process_batch(updates);

@@ -1,7 +1,8 @@
 //! Workload generators for the experiments.
 //!
 //! The paper's algorithms are evaluated on synthetic turnstile streams. The
-//! generators here cover the workloads used throughout EXPERIMENTS.md:
+//! generators here cover the workloads of the experiments (see the README's
+//! Experiments section):
 //!
 //! * frequency-vector workloads (uniform, Zipfian, sparse, signed/cancelling)
 //!   used by the Lp sampler, heavy hitter, and norm-estimation experiments;
