@@ -12,7 +12,6 @@
 //!   cargo run --release -p lps-bench --bin experiments -- serve [--dim N] [--seed S]
 //!   cargo run --release -p lps-bench --bin experiments -- feed --addr A [--updates N]
 //!   cargo run --release -p lps-bench --bin experiments -- servetest [--updates N]
-//!   cargo run --release -p lps-bench --bin experiments -- workload <spec.toml>... [--json] [--check]
 //!
 //! Without `--full` the harness runs in "quick" mode (fewer trials), which is
 //! what the README's Experiments section runs; `--full` multiplies the trial
@@ -53,14 +52,6 @@
 //! plan-mismatch rejection), and digest-compares every catalog structure
 //! against sequential ingestion — exiting non-zero on any mismatch (see
 //! `lps_bench::service_loopback`).
-//!
-//! The `workload` subcommand runs declarative workload specs (crate
-//! `lps-workload`, specs under `crates/workload/specs/`) against both the
-//! in-process engine core and the socket service over loopback, ramping
-//! the offered rate to saturation and recording p50/p99/p999 per step;
-//! `--json` merges a `workloads` array into `BENCH_samplers.json` and
-//! `--check` validates the stamped artifact (see
-//! `lps_bench::workload_cli`).
 
 use lps_bench::*;
 
@@ -100,7 +91,6 @@ const SUBCOMMANDS: &[(&str, Subcommand)] = &[
     ("serve", serve_main),
     ("feed", feed_main),
     ("servetest", servetest_main),
-    ("workload", workload_main),
 ];
 
 /// Run the `checkpoint` subcommand.
@@ -164,6 +154,23 @@ fn run_crashtest(args: &[String]) -> Result<i32, UsageError> {
     })
 }
 
+/// Read the `--check` baseline document, refusing a path that cannot be
+/// read or a document that holds none of the gated ratios: either would let
+/// the gate pass without comparing anything. A baseline that holds some of
+/// them gates those and reports the rest as skipped.
+fn read_baseline(path: &str) -> String {
+    let doc = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| refuse(&format!("--check: cannot read baseline `{path}`: {e}")));
+    let headline = parse_headline(&doc);
+    if !GATED_HEADLINE_KEYS.iter().any(|&key| headline.iter().any(|(k, _)| k == key)) {
+        refuse(&format!(
+            "--check: baseline `{path}` holds none of the gated ratios ({})",
+            GATED_HEADLINE_KEYS.join(", ")
+        ));
+    }
+    doc
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(&(name, run)) =
@@ -191,6 +198,10 @@ fn main() {
             id => usage_error(&format!("unknown experiment id `{id}`")),
         }
     }
+    // Read the baseline before anything runs, and so before --json can
+    // overwrite it: `--json --check BENCH_samplers.json` must compare
+    // against the committed bytes, not against the freshly written results.
+    let baseline_doc = check_baseline.as_deref().map(read_baseline);
     let quick = !full;
     let run_everything = selected.is_empty() || selected.iter().any(|s| s == "all");
 
@@ -201,13 +212,6 @@ fn main() {
     // paper's statistical experiments, so `all` does not imply them.
     if selected.iter().any(|s| s == "bench") || json || check_baseline.is_some() {
         let meta = BenchMeta::collect();
-        // Read the baseline BEFORE --json can overwrite it: `--json --check
-        // BENCH_samplers.json` must compare against the committed bytes, not
-        // against the freshly written results.
-        let baseline_doc = check_baseline.as_ref().map(|baseline_path| {
-            std::fs::read_to_string(baseline_path)
-                .unwrap_or_else(|e| panic!("read perf baseline {baseline_path}: {e}"))
-        });
         let mut records = throughput_suite(quick);
         println!("{}", throughput_table(&records).render());
         let scaling = engine_scaling_suite(quick);

@@ -33,7 +33,6 @@ pub mod kernels;
 pub mod report;
 pub mod service_loopback;
 pub mod throughput;
-pub mod workload_cli;
 
 pub use checkpoint::{checkpoint_merge, checkpoint_write, render_outcomes, CheckpointOutcome};
 pub use cli::{Args, Flags, UsageError};
@@ -52,9 +51,9 @@ pub use service_loopback::{feed_main, serve_main, servetest_main, SERVICE_DIM, S
 pub use throughput::{
     check_headline_regression, engine_scaling_suite, engine_scaling_table, headline_ratios,
     parse_headline, parse_mode, parse_runner_class, seed_baseline_advice, throughput_suite,
-    throughput_table, to_json, BenchMeta, ThroughputRecord, GATE_TOLERANCE, SEED_RUNNER_CLASS,
+    throughput_table, to_json, BenchMeta, ThroughputRecord, GATED_HEADLINE_KEYS, GATE_TOLERANCE,
+    SEED_RUNNER_CLASS,
 };
-pub use workload_cli::workload_main;
 
 /// Run every experiment and return the rendered tables in order.
 pub fn run_all(quick: bool) -> Vec<String> {

@@ -2,7 +2,8 @@
 //! experiment id or flag exits with code 2 and names the argument before
 //! any experiment runs, so a mistyped id cannot pass as an empty success.
 //! Subcommands do the same for an unknown flag and for a bad, out-of-range
-//! or missing value, instead of panicking or running without the flag.
+//! or missing value, instead of panicking or running without the flag, and
+//! `bench --check` for a baseline it cannot read or compare against.
 
 use std::process::Command;
 
@@ -30,6 +31,18 @@ fn unknown_experiment_ids_and_flags_exit_2_naming_the_argument() {
     assert!(refusal(&["e2", "e2x"]).contains("unknown experiment id `e2x`"));
     assert!(refusal(&["e2", "--fulll"]).contains("unknown flag `--fulll`"));
     assert!(refusal(&["bench", "--check"]).contains("--check needs a baseline path"));
+    assert!(refusal(&["workload", "x.toml"]).contains("unknown experiment id `workload`"));
+    // a baseline the gate cannot compare against is refused before any suite runs
+    let dir = std::env::temp_dir().join(format!("lps-cli-baseline-{}", std::process::id()));
+    let missing = dir.join("baseline.json");
+    assert!(refusal(&["bench", "--check", missing.to_str().expect("utf-8 temp path")])
+        .contains("--check: cannot read baseline"));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let empty = dir.join("empty.json");
+    std::fs::write(&empty, "{}").expect("write empty baseline");
+    let ungated = refusal(&["bench", "--check", empty.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ungated.contains("--check: baseline") && ungated.contains("none of the gated ratios"));
 }
 
 #[test]

@@ -13,7 +13,10 @@
 //! (Chambers–Mallows–Stuck transform of two uniforms derived from the hashed
 //! index), so the sketch stores only `O(l)` counters plus hash seeds — the
 //! space the paper charges. The normalising constant `median|S(p)|` is
-//! calibrated once per instance by a deterministic Monte Carlo pass.
+//! calibrated by a deterministic Monte Carlo pass, once per `p` per process.
+
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 use lps_hash::{KWiseHash, SeedSequence};
 use lps_stream::{counter_bits_for, SpaceBreakdown, SpaceUsage};
@@ -56,7 +59,7 @@ impl PStableSketch {
         // behave independently across the coordinates that matter; full
         // independence is emulated by a wide polynomial hash.
         let row_hashes = (0..rows).map(|_| KWiseHash::new(8, seeds)).collect();
-        let median_abs = calibrate_median_abs(p);
+        let median_abs = median_abs(p);
         PStableSketch {
             dimension,
             p,
@@ -229,8 +232,8 @@ impl Persist for PStableSketch {
         let values = counters.read_f64s(rows)?;
         let comp = counters.read_f64s(rows)?;
         // The normalising constant is derived deterministically from p, not
-        // stored: recompute it exactly as the constructor does.
-        let median_abs = calibrate_median_abs(p);
+        // stored: look it up exactly as the constructor does.
+        let median_abs = median_abs(p);
         Ok(PStableSketch { dimension, p, rows, counters: values, comp, row_hashes, median_abs })
     }
 }
@@ -262,8 +265,23 @@ pub fn stable_sample(p: f64, u1: f64, u2: f64) -> f64 {
     a * b
 }
 
+/// The median of |S(p)| for the standard p-stable distribution, used as the
+/// normalising constant of the median estimator. It depends only on `p`, so
+/// each `p` is calibrated once per process and kept in a table keyed by its
+/// bits.
+fn median_abs(p: f64) -> f64 {
+    static CALIBRATED: Mutex<BTreeMap<u64, f64>> = Mutex::new(BTreeMap::new());
+    // A calibration that panicked inserted nothing, so a poisoned lock still
+    // guards a table of finished values.
+    *CALIBRATED
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(p.to_bits())
+        .or_insert_with(|| calibrate_median_abs(p))
+}
+
 /// Deterministically estimate the median of |S(p)| for the standard p-stable
-/// distribution, used as the normalising constant of the median estimator.
+/// distribution by a Monte Carlo pass.
 fn calibrate_median_abs(p: f64) -> f64 {
     if (p - 1.0).abs() < 1e-9 {
         return 1.0; // median |Cauchy| = tan(pi/4) = 1
@@ -298,6 +316,16 @@ mod tests {
         // absolute median is sqrt(2)·0.67449 ≈ 0.9539.
         let m = calibrate_median_abs(2.0);
         assert!((m - 0.9539).abs() < 0.02, "calibrated median {m}");
+    }
+
+    #[test]
+    fn cached_calibration_equals_the_uncached_pass() {
+        // Interleave the requests so each p is asked for both before and
+        // after the others have filled the table.
+        let ps = [0.5, 1.5, 2.0, 0.25, 1.0, 1.9];
+        for &p in ps.iter().chain(ps.iter().rev()).chain(ps.iter()) {
+            assert_eq!(median_abs(p).to_bits(), calibrate_median_abs(p).to_bits(), "p = {p}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! update, never per chunk. Both laws are property-tested in
 //! `tests/generator_laws.rs`.
 //!
-//! The five named distributions target distinct stress axes of the
+//! The three named distributions target distinct stress axes of the
 //! sampler stack:
 //!
 //! | kind         | stresses                                              |
@@ -15,14 +15,31 @@
 //! | `uniform`    | baseline: even hash-bucket occupancy                  |
 //! | `zipf`       | heavy hitters crowding CountSketch rows               |
 //! | `turnstile`  | deletion-heavy phases dipping the live mass near zero |
-//! | `duplicates` | duplicate-rich traffic for the FIS/duplicates path    |
-//! | `collision`  | adversarial near-collisions: bursts of adjacent keys  |
 
 use lps_hash::SeedSequence;
 use lps_stream::generators::Zipf;
 use lps_stream::Update;
 
-use crate::spec::GeneratorSpec;
+/// The named update distribution a generator draws from. Every generator
+/// is deterministic from a single seed and chunk-boundary independent.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GeneratorSpec {
+    /// Uniform keys, insert-biased signed unit-ish deltas.
+    Uniform,
+    /// Zipf-skewed keys with exponent `alpha`.
+    Zipf {
+        /// Skew exponent (`> 0`; higher is more skewed).
+        alpha: f64,
+    },
+    /// Deletion-heavy turnstile phases: grow, then drain the live mass
+    /// back to near zero, repeatedly.
+    Turnstile {
+        /// When true, no coordinate ever goes below zero (the strict
+        /// turnstile model); when false, occasional blind deletes may
+        /// drive coordinates negative (general model).
+        strict: bool,
+    },
+}
 
 /// An infinite, seeded source of turnstile updates.
 pub trait UpdateGenerator: Send {
@@ -39,8 +56,8 @@ pub trait UpdateGenerator: Send {
     }
 }
 
-/// Construct the generator a spec names, bound to the spec's dimension
-/// and derived from the given seed.
+/// Construct the generator a spec names over `[0, dimension)`, derived from
+/// the given seed.
 pub fn build_generator(
     spec: &GeneratorSpec,
     dimension: u64,
@@ -50,10 +67,6 @@ pub fn build_generator(
         GeneratorSpec::Uniform => Box::new(UniformGen::new(dimension, seed)),
         GeneratorSpec::Zipf { alpha } => Box::new(ZipfGen::new(dimension, alpha, seed)),
         GeneratorSpec::Turnstile { strict } => Box::new(TurnstileGen::new(dimension, strict, seed)),
-        GeneratorSpec::Duplicates { distinct } => {
-            Box::new(DuplicateGen::new(dimension, distinct, seed))
-        }
-        GeneratorSpec::Collision { spread } => Box::new(CollisionGen::new(dimension, spread, seed)),
     }
 }
 
@@ -224,77 +237,5 @@ impl UpdateGenerator for TurnstileGen {
             }
             self.delete_live()
         }
-    }
-}
-
-/// Duplicate-rich traffic: a small churning pool of `distinct` keys is
-/// hit over and over, mostly with `+1`, so the stream is dominated by
-/// repeated occurrences of the same coordinates.
-pub struct DuplicateGen {
-    n: u64,
-    seeds: SeedSequence,
-    pool: Vec<u64>,
-    /// Updates issued since the last pool-member replacement.
-    since_churn: u64,
-}
-
-impl DuplicateGen {
-    /// Duplicate-rich generator over `[0, n)` with a `distinct`-key pool.
-    pub fn new(n: u64, distinct: u64, seed: u64) -> Self {
-        let mut seeds = SeedSequence::new(seed);
-        let pool_size = distinct.min(n).max(1);
-        let pool = (0..pool_size).map(|_| seeds.next_below(n)).collect();
-        DuplicateGen { n, seeds, pool, since_churn: 0 }
-    }
-}
-
-impl UpdateGenerator for DuplicateGen {
-    fn next_update(&mut self) -> Update {
-        self.since_churn += 1;
-        // Slowly rotate pool membership so the duplicate set drifts.
-        if self.since_churn >= 512 {
-            self.since_churn = 0;
-            let slot = self.seeds.next_below(self.pool.len() as u64) as usize;
-            self.pool[slot] = self.seeds.next_below(self.n);
-        }
-        let index = self.pool[self.seeds.next_below(self.pool.len() as u64) as usize];
-        // Mostly inserts; rare deletes keep it a genuine turnstile stream.
-        let delta = if self.seeds.next_below(12) == 0 { -1 } else { 1 };
-        Update { index, delta }
-    }
-}
-
-/// Adversarial near-collisions: updates cluster within `spread` of a hot
-/// center that is re-drawn every 256 updates, producing bursts of
-/// adjacent keys — the access pattern most likely to land many distinct
-/// keys in the same hash buckets.
-pub struct CollisionGen {
-    n: u64,
-    spread: u64,
-    seeds: SeedSequence,
-    center: u64,
-    since_move: u64,
-}
-
-impl CollisionGen {
-    /// Collision-burst generator over `[0, n)` with cluster width `spread`.
-    pub fn new(n: u64, spread: u64, seed: u64) -> Self {
-        let mut seeds = SeedSequence::new(seed);
-        let center = seeds.next_below(n);
-        CollisionGen { n, spread: spread.max(1), seeds, center, since_move: 0 }
-    }
-}
-
-impl UpdateGenerator for CollisionGen {
-    fn next_update(&mut self) -> Update {
-        self.since_move += 1;
-        if self.since_move >= 256 {
-            self.since_move = 0;
-            self.center = self.seeds.next_below(self.n);
-        }
-        let offset = self.seeds.next_below(self.spread);
-        let index = (self.center + offset) % self.n;
-        let delta = mixed_delta(&mut self.seeds);
-        Update { index, delta }
     }
 }

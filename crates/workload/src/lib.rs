@@ -1,44 +1,18 @@
 //! # lps-workload
 //!
-//! The declarative mixed-workload harness: reproducible load tests for
-//! the sampler service, described in data instead of code. Three layers,
-//! strictly stacked:
+//! Named, seeded, reusable stream generators ([`generators`]): `uniform`,
+//! `zipf` and `turnstile`, each named by a [`GeneratorSpec`] and built by
+//! [`build_generator`]. Every generator is deterministic from a single
+//! `u64` seed and **chunk-boundary independent**: drawing 10 updates then
+//! 90 yields the same stream as drawing 100 at once (property-tested).
 //!
-//! * [`spec`] — a **TOML workload-description format** parsed into a
-//!   typed [`WorkloadSpec`]: structure mix with weights, dimension,
-//!   update distribution, read/write ratio, tenant count, and the ramp
-//!   schedule. Parsing is total in the `persist::DecodeError` spirit —
-//!   no input panics, every malformed spec maps to a typed [`SpecError`].
-//! * [`generators`] — a library of **named, seeded, reusable stream
-//!   generators** (`uniform`, `zipf`, `turnstile`, `duplicates`,
-//!   `collision`), each deterministic from a single `u64` seed and
-//!   **chunk-boundary independent**: drawing 10 updates then 90 yields
-//!   the same stream as drawing 100 at once (property-tested).
-//! * [`driver`] — a **ramping open-loop load driver**: each step offers
-//!   a fixed rate with precomputed per-request start times and measures
-//!   latency from the *scheduled* start (coordinated-omission-free),
-//!   recording log-bucketed p50/p99/p999 per step ([`hist`]) and
-//!   stepping the rate up until the target misses it — saturation —
-//!   yielding a `sustainable_max_rps`. Both load targets sit behind one
-//!   [`WorkloadTarget`] trait ([`target`]): the in-process engine core
-//!   and the socket service, so the gap between them is itself measured.
-//!
-//! The `experiments -- workload <spec.toml>` subcommand (crate
-//! `lps-bench`) runs a spec against both targets and stamps the results
-//! into the `BENCH_samplers.json` artifact; named specs ship under
-//! `crates/workload/specs/`.
+//! The service benchmark (`perfbench/`) draws its request streams from
+//! these generators, and `tests/generator_laws.rs` pins the streams it
+//! draws.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
 pub mod generators;
-pub mod hist;
-pub mod spec;
-pub mod target;
 
-pub use driver::{run_workload, StepReport, WorkloadOutcome, SUSTAIN_FRACTION};
-pub use generators::{build_generator, UpdateGenerator};
-pub use hist::LatencyHistogram;
-pub use spec::{GeneratorSpec, MixEntry, RampSpec, SpecError, WorkloadSpec};
-pub use target::{EngineTarget, SocketTarget, WorkloadTarget};
+pub use generators::{build_generator, GeneratorSpec, UpdateGenerator};
