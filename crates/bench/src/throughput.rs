@@ -467,7 +467,9 @@ pub fn headline_ratios(records: &[ThroughputRecord]) -> Vec<(&'static str, Optio
 /// which shard counts E14 swept.
 #[derive(Debug, Clone)]
 pub struct BenchMeta {
-    /// `git rev-parse --short=12 HEAD`, or `"unknown"` outside a checkout.
+    /// `git rev-parse --short=12 HEAD`, suffixed `-dirty` when a tracked
+    /// file other than `BENCH_samplers.json` differs from `HEAD` (see
+    /// `commit_stamp`), or `"unknown"` outside a checkout.
     pub git_commit: String,
     /// `std::thread::available_parallelism()` on the measuring host.
     pub host_cpus: usize,
@@ -481,17 +483,42 @@ pub struct BenchMeta {
     pub runner_class: String,
 }
 
+/// The artifact `bench --json` rewrites, so its own change never marks a
+/// tree dirty: CI's perf gate runs `bench --json` twice in one checkout.
+const ARTIFACT: &str = "BENCH_samplers.json";
+
+/// The commit stamp for `commit`, given `changed`, the output of `git diff
+/// --name-only HEAD` (the tracked files that differ from `HEAD`, one path
+/// per line): `commit` itself when only [`ARTIFACT`] changed, or nothing
+/// did, and `commit-dirty` otherwise.
+fn commit_stamp(commit: &str, changed: &str) -> String {
+    if changed.lines().any(|path| !path.is_empty() && path != ARTIFACT) {
+        format!("{commit}-dirty")
+    } else {
+        commit.to_string()
+    }
+}
+
+/// The trimmed standard output of `git args`, if it succeeds.
+fn git(args: &[&str]) -> Option<String> {
+    std::process::Command::new("git")
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+}
+
 impl BenchMeta {
     /// Collect the metadata from the current environment.
     pub fn collect() -> Self {
-        let git_commit = std::process::Command::new("git")
-            .args(["rev-parse", "--short=12", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
+        let git_commit = git(&["rev-parse", "--short=12", "HEAD"])
             .filter(|s| !s.is_empty())
+            .map(|commit| {
+                let changed = git(&["diff", "--name-only", "HEAD"]).unwrap_or_default();
+                commit_stamp(&commit, &changed)
+            })
             .unwrap_or_else(|| "unknown".to_string());
         let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let runner_class =
@@ -716,6 +743,21 @@ pub fn check_headline_regression(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn commit_stamp_marks_a_dirty_tree_but_not_the_rewritten_artifact() {
+        assert_eq!(commit_stamp("a809b3bde5c6", ""), "a809b3bde5c6", "clean tree");
+        assert_eq!(
+            commit_stamp("a809b3bde5c6", "BENCH_samplers.json\n"),
+            "a809b3bde5c6",
+            "only the artifact changed"
+        );
+        assert_eq!(
+            commit_stamp("a809b3bde5c6", "BENCH_samplers.json\ncrates/engine/src/pool.rs\n"),
+            "a809b3bde5c6-dirty",
+            "a source file changed"
+        );
+    }
 
     #[test]
     fn workload_is_deterministic_and_in_range() {

@@ -6,15 +6,15 @@
 //! so `sketch(A ++ B) == merge(sketch(A), sketch(B))` whenever both sides
 //! use the same seeds. The engine exploits exactly that identity for
 //! multi-core scaling: an [`IngestSession`] built by [`EngineBuilder`]
-//! deals dispatch batches to identically-seeded replicas in rotation (the
-//! [`RoundRobin`] plan) and recombines them by addition in a fixed binary
-//! tree. [`IngestSession::ingest_blocking`] stages updates and hands each
-//! full batch to the next worker's bounded channel, parking while that
-//! channel is full; an in-memory [`IngestSession::snapshot`] reads the live
-//! state, and a terminal [`IngestSession::seal`] returns the merged
-//! structure. Linearity means each shard only needs its own batches in
-//! order, so that one blocking path is all delivery takes — and since any
-//! partition of a stream merges to the same state, dealing batches in
+//! runs the engine's one [`WorkerPool`] (the service's catalog runs it too)
+//! over identically-seeded replicas: [`IngestSession::ingest_blocking`]
+//! folds updates into one coalesced window and deals each sealed window to
+//! the next replica's bounded channel in rotation (the [`RoundRobin`] plan),
+//! parking while it is full. An in-memory [`IngestSession::snapshot`] reads
+//! the live state, and a terminal [`IngestSession::seal`] returns the
+//! replicas recombined by addition in a fixed binary tree. Linearity means
+//! each replica only needs its own windows in order, and since any
+//! partition of a stream merges to the same state, dealing windows in
 //! rotation is as good a partition as any.
 //!
 //! ```
@@ -69,31 +69,34 @@
 //!
 //! ## When parallel beats batched
 //!
-//! Sharding pays when the per-update sketch work dominates the per-update
-//! distribution overhead (one staging copy + channel handoff per update,
-//! amortised over `batch_size`-sized batches). Sparse recovery and the L0
-//! sampler touch `O(rows)` / `O(rows · levels)` cells per update, so they
-//! scale; a bare count-min row update is so cheap that single-threaded
-//! batching stays competitive until batches get large. Experiment E14
-//! measures the scaling per shard count and stamps it into
-//! `BENCH_samplers.json`. Throughput scales with *physical* cores.
+//! Sharding pays when the per-coordinate sketch work dominates the
+//! per-update cost on the caller's thread (a staging copy, one
+//! `coalesce_updates` per piece, the merge into the window, and a copy of
+//! each sealed window into `Arc` chunks). Sparse recovery and the L0
+//! sampler touch `O(rows)` / `O(rows · levels)` cells per coordinate, so
+//! they scale; a bare count-min row update is so cheap that single-threaded
+//! batching stays competitive. Experiment E14 measures the scaling per
+//! shard count and stamps it into `BENCH_samplers.json`. Throughput scales
+//! with *physical* cores.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod plan;
+mod pool;
 mod session;
 
 pub use plan::{
     read_envelope, PlanEnvelope, RoundRobin, Tolerance, ENVELOPE_HEADER_LEN, ENVELOPE_MAGIC,
     ENVELOPE_VERSION,
 };
+pub use pool::{PoolUnit, WorkerPool};
 pub use session::{EngineBuilder, IngestSession};
 
 /// Errors an engine session can surface at its terminal operations.
 ///
 /// A worker panic (a bug in a structure's `ingest_batch`, or a poisoned
-/// update) is contained to its shard: the session keeps running, and
+/// update) is contained to its worker: the session keeps running, and
 /// [`IngestSession::snapshot`] / [`IngestSession::seal`] /
 /// [`IngestSession::checkpoint`] report the panicked shard here instead of
 /// propagating the panic — so a caller can
@@ -102,9 +105,10 @@ pub use session::{EngineBuilder, IngestSession};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The worker thread driving `shard` panicked; its partial state is
-    /// lost, every other shard's state is intact.
+    /// lost, every other worker's state is intact.
     WorkerPanicked {
-        /// Index of the shard whose worker panicked.
+        /// Index of the worker that panicked. A session runs one replica
+        /// per worker, so there it is the shard (replica) index.
         shard: usize,
     },
 }
@@ -149,10 +153,20 @@ pub trait ShardIngest: Mergeable + Clone + Send {
 
     /// Ingest a batch of updates through the structure's fast path.
     fn ingest_batch(&mut self, updates: &[Update]);
+
+    /// Apply one chunk of a [`WorkerPool`] window: for an `Exact` structure,
+    /// entries as `coalesce_updates` returns them, whose effect must equal
+    /// `ingest_batch` of the updates they sum; for an `Approximate` one,
+    /// its updates in stream order. The default ingests the entries as
+    /// updates; the exact structures forward to their inherent fast path.
+    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+        let updates: Vec<Update> = entries.iter().map(|&(i, d)| Update::new(i, d)).collect();
+        self.ingest_batch(&updates);
+    }
 }
 
 macro_rules! shard_ingest {
-    ($ty:ty, $tolerance:expr, $ingest:expr) => {
+    ($ty:ty, $tolerance:expr, $ingest:expr $(, $coalesced:expr)?) => {
         impl ShardIngest for $ty {
             const TOLERANCE: Tolerance = $tolerance;
 
@@ -160,22 +174,34 @@ macro_rules! shard_ingest {
                 let ingest: fn(&mut $ty, &[Update]) = $ingest;
                 ingest(self, updates);
             }
+            $(
+                fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
+                    let apply: fn(&mut $ty, &[(u64, i64)]) = $coalesced;
+                    apply(self, entries);
+                }
+            )?
         }
     };
 }
 
-// The exact-arithmetic structures: integer/field counters, bit-exact merges.
-shard_ingest!(SparseRecovery, Tolerance::Exact, |s, u| s.process_batch(u));
-shard_ingest!(CountSketch, Tolerance::Exact, |s, u| LinearSketch::process_batch(s, u));
-shard_ingest!(CountMinSketch, Tolerance::Exact, |s, u| s.process_batch(u));
-shard_ingest!(CountMedianSketch, Tolerance::Exact, |s, u| LinearSketch::process_batch(s, u));
-shard_ingest!(AmsSketch, Tolerance::Exact, |s, u| LinearSketch::process_batch(s, u));
-shard_ingest!(L0Sampler, Tolerance::Exact, |s, u| LpSampler::process_batch(s, u));
-shard_ingest!(FisL0Sampler, Tolerance::Exact, |s, u| LpSampler::process_batch(s, u));
+// The exact-arithmetic structures: integer/field counters, bit-exact merges,
+// and an inherent `apply_coalesced` the worker pool feeds.
+shard_ingest!(SparseRecovery, Tolerance::Exact, |s, u| s.process_batch(u), Self::apply_coalesced);
+shard_ingest!(CountSketch, Tolerance::Exact, LinearSketch::process_batch, Self::apply_coalesced);
+shard_ingest!(CountMinSketch, Tolerance::Exact, |s, u| s.process_batch(u), Self::apply_coalesced);
+shard_ingest!(
+    CountMedianSketch,
+    Tolerance::Exact,
+    LinearSketch::process_batch,
+    Self::apply_coalesced
+);
+shard_ingest!(AmsSketch, Tolerance::Exact, LinearSketch::process_batch, Self::apply_coalesced);
+shard_ingest!(L0Sampler, Tolerance::Exact, LpSampler::process_batch, Self::apply_coalesced);
+shard_ingest!(FisL0Sampler, Tolerance::Exact, LpSampler::process_batch, Self::apply_coalesced);
 
 // The float structures: dense f64 counters, estimator-level merge fidelity
 // (see the ~2kε drift bound on their merge_from docs). Shardable only
-// behind an explicitly approximate plan.
+// behind an explicitly approximate plan, and fed in stream order.
 shard_ingest!(PStableSketch, Tolerance::Approximate, |s, u| LinearSketch::process_batch(s, u));
 shard_ingest!(PrecisionLpSampler, Tolerance::Approximate, |s, u| LpSampler::process_batch(s, u));
 shard_ingest!(AkoSampler, Tolerance::Approximate, |s, u| LpSampler::process_batch(s, u));

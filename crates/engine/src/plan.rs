@@ -61,20 +61,19 @@ impl Tolerance {
     }
 }
 
-/// The engine's shard plan: identically-seeded full replicas, dispatch
-/// batches dealt to the workers in rotation, additive tree merge.
+/// The engine's shard plan: identically-seeded full replicas, sealed
+/// windows dealt to them in rotation, additive tree merge.
 #[derive(Debug, Clone)]
 pub struct RoundRobin {
     shards: usize,
     tolerance: Tolerance,
-    cursor: usize,
 }
 
 impl RoundRobin {
     /// An exact-tolerance round-robin plan over `shards` workers.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        RoundRobin { shards, tolerance: Tolerance::Exact, cursor: 0 }
+        RoundRobin { shards, tolerance: Tolerance::Exact }
     }
 
     /// A round-robin plan that opts into approximate (floating-point) shard
@@ -97,13 +96,6 @@ impl RoundRobin {
     /// The merge-fidelity class the caller opted into.
     pub fn tolerance(&self) -> Tolerance {
         self.tolerance
-    }
-
-    /// The shard the next sealed batch goes to; advances the rotation.
-    pub(crate) fn next_shard(&mut self) -> usize {
-        let shard = self.cursor;
-        self.cursor = (self.cursor + 1) % self.shards;
-        shard
     }
 }
 
@@ -269,15 +261,6 @@ pub(crate) fn validate_envelopes<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_cursor_advances_on_seal() {
-        let mut plan = RoundRobin::new(3);
-        assert_eq!(plan.next_shard(), 0);
-        assert_eq!(plan.next_shard(), 1);
-        assert_eq!(plan.next_shard(), 2);
-        assert_eq!(plan.next_shard(), 0, "cursor wraps");
-    }
 
     #[test]
     fn envelope_roundtrip_and_rejections() {

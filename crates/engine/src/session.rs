@@ -10,63 +10,51 @@
 //!                                  Err(WorkerPanicked) if a shard died
 //! ```
 //!
-//! [`IngestSession::snapshot`] is the in-memory read of a live session:
-//! every worker answers a snapshot request, queued behind its batches on
-//! the same channel, with a clone of its shard, and the clones recombine
-//! under the plan's merge. Nothing is encoded and no thread is respawned;
-//! [`IngestSession::checkpoint`] and [`EngineBuilder::resume`] remain the
-//! path for state that must leave the process as bytes.
+//! A session is the engine's [`WorkerPool`] over `shards` replicas of one
+//! structure, one per worker, so a reported shard is the replica index.
+//! [`IngestSession::ingest_blocking`] stages each update once and folds
+//! every full piece of `min(batch_size, DEFAULT_BATCH_SIZE)` updates into
+//! the pool's one window before it returns. The window seals at
+//! `batch_size` distinct coordinates and goes to the next replica, so it
+//! may gather updates from several calls, and updates that cancel within it
+//! reach no replica. A float structure ([`Tolerance::Approximate`]) is not
+//! coalesced: its window holds its updates in stream order. Each replica
+//! applies its own windows in order, and by linearity the replicas merge to
+//! the sequential state however the windows fall.
+//!
+//! [`IngestSession::snapshot`] is the in-memory read of a live session: it
+//! seals the partial piece and the window, each worker answers a request
+//! queued behind its chunks with a clone of its replica, and the clones
+//! recombine under the plan's merge. Nothing is encoded and no thread is
+//! respawned; [`IngestSession::checkpoint`] and [`EngineBuilder::resume`]
+//! are the path for state that must leave the process as bytes.
+//!
+//! A full worker channel is the one backpressure point: the caller parks
+//! until that worker frees a slot. Peak buffered memory, for `batch_size`
+//! = `b` and [`DEFAULT_BATCH_SIZE`] = `B`: under `2B` staged updates, the
+//! window and its merge buffer under `b + B` entries each, and per worker
+//! at most `WORKER_BACKLOG` (10) queued chunks plus the one it applies,
+//! each of at most `B` entries.
 //!
 //! ## Worker panic containment
 //!
 //! A panic inside a worker (a structure bug, a poisoned update) is contained
-//! to its shard: the session marks the shard dead and keeps accepting and
-//! dealing work to the others instead of propagating the panic into the
-//! dispatcher. [`IngestSession::snapshot`] and the terminal operations
-//! surface it as a typed [`EngineError::WorkerPanicked`], and
+//! to its shard: the pool marks the shard dead and keeps accepting work,
+//! dropping the windows dealt to the dead shard, instead of propagating the
+//! panic into the caller. [`IngestSession::snapshot`] and the terminal
+//! operations surface it as a typed [`EngineError::WorkerPanicked`], and
 //! [`IngestSession::checkpoint_surviving`] persists every healthy shard's
-//! state so a degraded fleet can still checkpoint what it has.
-//!
-//! Internally the session copies updates once, into one staging buffer,
-//! seals it into a dispatch batch when it reaches the batch size, and moves
-//! the batch — never clones it — into the next worker's bounded channel
-//! with a blocking `send`, dealing batches to the workers in rotation.
-//! Every structure the engine shards is linear, so that is all delivery
-//! has to guarantee: each shard ingests its own batches in stream order,
-//! and the shards merge to the sequential state however their batches
-//! interleave. A full channel is the one backpressure point: the caller
-//! parks until that worker frees a slot. Peak buffered memory is bounded
-//! by `(shards × (WORKER_BACKLOG + 1) + 1) × batch_size` updates: the
-//! staging buffer, each channel's backlog, and the batch each worker is
-//! ingesting.
+//! state so a degraded fleet can still checkpoint what it has. A session
+//! never respawns a worker: a shard lost to a panic stays reported.
 
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::thread::JoinHandle;
+use std::any::Any;
+use std::marker::PhantomData;
 
 use lps_sketch::{DecodeError, Persist};
 use lps_stream::{Update, DEFAULT_BATCH_SIZE};
 
 use crate::plan::{encode_envelope_header, tree_merge, validate_envelopes, RoundRobin, Tolerance};
-use crate::{decode_compatible_shards, EngineError, ShardIngest};
-
-/// How many sealed batches may wait unprocessed in each worker's channel
-/// before the dispatcher parks. Ten keeps the per-shard bound of the
-/// earlier dispatcher, whose channels held 8 batches and whose outbox held
-/// 2 more per shard, so the point where the caller blocks is unchanged.
-const WORKER_BACKLOG: usize = 10;
-
-/// What travels down a worker's channel: a dispatch batch to ingest, or a
-/// request for a clone of the shard state as of every batch queued before
-/// it.
-enum Message<T> {
-    Batch(Vec<Update>),
-    Snapshot(SyncSender<T>),
-}
-
-struct Worker<T> {
-    sender: SyncSender<Message<T>>,
-    handle: JoinHandle<T>,
-}
+use crate::{decode_compatible_shards, EngineError, PoolUnit, ShardIngest, WorkerPool};
 
 /// Configures and spawns an [`IngestSession`] (or resumes one from a
 /// checkpoint). This is the front door of the engine:
@@ -81,7 +69,7 @@ struct Worker<T> {
 /// let proto = SparseRecovery::new(1 << 12, 8, &mut seeds);
 /// let updates: Vec<Update> = (0..1000).map(|i| Update::new(i % 100, 1)).collect();
 ///
-/// // four identically-seeded replicas, batches dealt in rotation
+/// // four identically-seeded replicas, sealed windows dealt in rotation
 /// let mut session = EngineBuilder::new(&proto).shards(4).batch_size(64).session();
 /// session.ingest_blocking(&updates);
 /// let merged = session.seal().unwrap();
@@ -100,8 +88,8 @@ pub struct EngineBuilder<T: ShardIngest + 'static> {
 
 impl<T: ShardIngest + 'static> EngineBuilder<T> {
     /// Start configuring an engine around a zero-state prototype. Defaults:
-    /// a single-shard exact [`RoundRobin`] plan and [`DEFAULT_BATCH_SIZE`]
-    /// dispatch batches.
+    /// a single-shard exact [`RoundRobin`] plan and windows that seal at
+    /// [`DEFAULT_BATCH_SIZE`] distinct coordinates.
     pub fn new(prototype: &T) -> Self {
         EngineBuilder {
             prototype: prototype.clone(),
@@ -123,8 +111,12 @@ impl<T: ShardIngest + 'static> EngineBuilder<T> {
         self
     }
 
-    /// Dispatch batch size: updates staged before a batch is sealed and
-    /// handed to the next worker.
+    /// The distinct coordinates at which the open window seals and goes to
+    /// the next replica — the same meaning as the service's
+    /// `ServiceConfig::batch_size`. Staged updates fold into the window
+    /// `min(batch_size, DEFAULT_BATCH_SIZE)` at a time, and every
+    /// `snapshot`, `seal` and `checkpoint` also seals it. A float structure
+    /// is not coalesced, so its window seals at `batch_size` updates.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size >= 1, "batch size must be positive");
         self.batch_size = batch_size;
@@ -165,15 +157,15 @@ impl<T: ShardIngest + 'static> EngineBuilder<T> {
 /// Built by [`EngineBuilder`].
 pub struct IngestSession<T: ShardIngest + 'static> {
     plan: RoundRobin,
-    workers: Vec<Worker<T>>,
-    /// The batch being staged (< `batch_size` updates) for the next worker.
-    staging: Vec<Update>,
-    /// Shards whose worker was observed dead (disconnected channel) before
-    /// join time. Batches dealt to a dead shard are dropped — the state
-    /// they would have updated is already lost to the panic.
-    dead: Vec<bool>,
-    batch_size: usize,
+    /// One structure, one replica per worker.
+    pool: WorkerPool,
     accepted: u64,
+    structure: PhantomData<T>,
+}
+
+/// A replica state the pool handed back, as the session's structure.
+fn downcast<T: 'static>(state: Box<dyn Any + Send>) -> T {
+    *state.downcast::<T>().expect("a session's workers hold its own structure")
 }
 
 impl<T: ShardIngest + 'static> IngestSession<T> {
@@ -187,135 +179,70 @@ impl<T: ShardIngest + 'static> IngestSession<T> {
              (RoundRobin::approximate)"
         );
         let shards = states.len();
-        let workers = states
-            .into_iter()
-            .map(|mut shard| {
-                let (sender, receiver) = sync_channel::<Message<T>>(WORKER_BACKLOG);
-                let handle = std::thread::spawn(move || {
-                    while let Ok(message) = receiver.recv() {
-                        match message {
-                            Message::Batch(batch) => shard.ingest_batch(&batch),
-                            // a requester that gave up is not an error
-                            Message::Snapshot(reply) => drop(reply.send(shard.clone())),
-                        }
-                    }
-                    shard
-                });
-                Worker { sender, handle }
-            })
-            .collect();
-        IngestSession {
-            plan,
-            workers,
-            staging: Vec::with_capacity(batch_size),
-            dead: vec![false; shards],
-            batch_size,
-            accepted: 0,
-        }
+        let replicas = states.into_iter().map(|s| Box::new(s) as Box<dyn PoolUnit>).collect();
+        // one structure on `shards` workers: worker r owns replica r
+        let pool = WorkerPool::new(vec![replicas], &[1.0], batch_size, shards);
+        IngestSession { plan, pool, accepted: 0, structure: PhantomData }
     }
 
     /// Number of shards (worker threads).
     pub fn shards(&self) -> usize {
-        self.workers.len()
+        self.plan.shards()
     }
 
-    /// The plan dealing batches and merging shards.
+    /// The plan dealing windows and merging shards.
     pub fn plan(&self) -> &RoundRobin {
         &self.plan
     }
 
-    /// Updates accepted so far (staged, in flight, or already ingested).
+    /// Updates accepted so far (staged, in the open window, in flight, or
+    /// already ingested).
     pub fn accepted(&self) -> u64 {
         self.accepted
     }
 
-    /// Seal the staging buffer into a dispatch batch and hand it to the
-    /// next worker in rotation with a blocking `send`: the batch `Vec` is
-    /// moved, never cloned, and a full channel parks the caller until the
-    /// worker frees a slot. A send to a panicked worker fails at once, so
-    /// the shard is marked dead and the batch dropped (its state is already
-    /// lost to the panic).
-    fn seal_batch(&mut self) {
-        if self.staging.is_empty() {
-            return;
-        }
-        let shard = self.plan.next_shard();
-        let batch = std::mem::replace(&mut self.staging, Vec::with_capacity(self.batch_size));
-        if !self.dead[shard] && self.workers[shard].sender.send(Message::Batch(batch)).is_err() {
-            self.dead[shard] = true;
-        }
-    }
-
-    /// Ingest `updates`: copy them into the staging buffer, and hand each
-    /// batch that reaches the batch size to the next worker. Blocks while
-    /// that worker's channel is full — the session's one backpressure point,
-    /// which parks the caller and leaves the cores to the workers it waits
-    /// on. Updates are copied once, into the staging buffer.
+    /// Ingest `updates`: stage them, copied once, and fold every full piece
+    /// into the open window, sending the window to the next replica's worker
+    /// whenever it reaches the batch size. Blocks while that worker's
+    /// channel is full — the session's one backpressure point, which parks
+    /// the caller and leaves the cores to the workers it waits on. Fewer
+    /// than one piece of updates stays staged for the next call.
     pub fn ingest_blocking(&mut self, updates: &[Update]) {
-        let mut rest = updates;
-        while !rest.is_empty() {
-            let take = (self.batch_size - self.staging.len()).min(rest.len());
-            self.staging.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.staging.len() >= self.batch_size {
-                self.seal_batch();
-            }
+        for part in updates.chunks(self.pool.piece()) {
+            self.pool.stage(part);
+            self.pool.fan_out();
         }
         self.accepted += updates.len() as u64;
     }
 
     /// A merged copy of everything accepted so far, taken **without ending
-    /// the session**: seals the partial staging buffer (blocking on channel
-    /// capacity as needed), queues a snapshot request behind each worker's
-    /// batches, and tree-merges the cloned shard states — the same result
-    /// [`IngestSession::seal`] would return at this point in the stream,
-    /// bit for bit for the exact structures. Ingestion continues on the
-    /// same workers afterwards; nothing is encoded or decoded and no thread
-    /// is respawned.
+    /// the session**: folds the staged updates and seals the open window
+    /// (blocking on channel capacity as needed), queues a snapshot request
+    /// behind each worker's chunks, and tree-merges the cloned shard states
+    /// — the same result [`IngestSession::seal`] would return at this point
+    /// in the stream, bit for bit for the exact structures. Ingestion
+    /// continues on the same workers afterwards; nothing is encoded or
+    /// decoded and no thread is respawned.
     ///
     /// A panicked worker is reported as [`EngineError::WorkerPanicked`]
     /// (lowest-indexed dead shard), as at `seal`; the session stays usable
     /// in its degraded state.
     pub fn snapshot(&mut self) -> Result<T, EngineError> {
-        self.seal_batch();
-        // request every clone before awaiting any, so the shards copy in
-        // parallel
-        let replies: Vec<_> = self
-            .workers
-            .iter()
-            .map(|w| {
-                let (reply, clone) = sync_channel(1);
-                w.sender.send(Message::Snapshot(reply)).ok().map(|()| clone)
-            })
-            .collect();
-        let mut states = Vec::with_capacity(replies.len());
-        for (shard, clone) in replies.into_iter().enumerate() {
-            // a worker that panics drops its queued request, and with it
-            // the reply sender, so `recv` fails instead of hanging
-            match clone.and_then(|c| c.recv().ok()) {
-                Some(state) => states.push(state),
-                None => self.dead[shard] = true,
-            }
-        }
-        if let Some(shard) = self.dead.iter().position(|&dead| dead) {
-            return Err(EngineError::WorkerPanicked { shard });
-        }
-        Ok(tree_merge(states))
+        let replicas = self.pool.snapshot()?.pop().expect("one structure");
+        Ok(tree_merge(replicas.into_iter().map(downcast).collect()))
     }
 
-    /// Seal the partial staging buffer, close the channels and join the
-    /// workers: surviving shard states with their shard indices, plus the
-    /// indices of shards whose worker panicked. The panic payloads are
+    /// Seal the partial piece and the open window, stop the workers and
+    /// collect the surviving shard states with their shard indices, plus
+    /// the indices of shards whose worker panicked. The panic payloads are
     /// swallowed — containment, not propagation.
-    fn join_shards(&mut self) -> (Vec<(usize, T)>, Vec<usize>) {
-        self.seal_batch();
+    fn join_shards(self) -> (Vec<(usize, T)>, Vec<usize>) {
         let mut survivors = Vec::new();
         let mut panicked = Vec::new();
-        for (shard, w) in std::mem::take(&mut self.workers).into_iter().enumerate() {
-            drop(w.sender);
-            match w.handle.join() {
-                Ok(state) => survivors.push((shard, state)),
-                Err(_) => panicked.push(shard),
+        for (shard, states) in self.pool.finish().into_iter().enumerate() {
+            match states {
+                Some(states) => survivors.extend(states.into_iter().map(|s| (shard, downcast(s)))),
+                None => panicked.push(shard),
             }
         }
         (survivors, panicked)
@@ -331,7 +258,7 @@ impl<T: ShardIngest + 'static> IngestSession<T> {
     /// missed a shard's stream would violate the linearity contract. Use
     /// [`IngestSession::checkpoint_surviving`] when the healthy shards'
     /// state must be persisted anyway.
-    pub fn seal(mut self) -> Result<T, EngineError> {
+    pub fn seal(self) -> Result<T, EngineError> {
         let (survivors, panicked) = self.join_shards();
         if let Some(&shard) = panicked.first() {
             return Err(EngineError::WorkerPanicked { shard });
@@ -368,15 +295,16 @@ impl<T: ShardIngest + 'static> IngestSession<T> {
     /// [`IngestSession::checkpoint`], this never fails — a fleet that lost
     /// a shard can still persist the healthy ones and re-ingest only the
     /// dead shard's slice of the stream.
-    pub fn checkpoint_surviving(mut self) -> (Vec<(usize, Vec<u8>)>, Vec<usize>)
+    pub fn checkpoint_surviving(self) -> (Vec<(usize, Vec<u8>)>, Vec<usize>)
     where
         T: Persist,
     {
+        let plan = self.plan.clone();
         let (survivors, panicked) = self.join_shards();
         let buffers = survivors
             .into_iter()
             .map(|(shard, state)| {
-                let mut out = encode_envelope_header(&self.plan, shard);
+                let mut out = encode_envelope_header(&plan, shard);
                 state.encode_state(&mut out);
                 (shard, out)
             })
@@ -389,8 +317,6 @@ impl<T: ShardIngest + 'static> std::fmt::Debug for IngestSession<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngestSession")
             .field("plan", &self.plan)
-            .field("shards", &self.workers.len())
-            .field("batch_size", &self.batch_size)
             .field("accepted", &self.accepted)
             .finish()
     }

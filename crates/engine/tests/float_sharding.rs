@@ -17,12 +17,16 @@
 //! Everything is deterministic (fixed seeds, fixed workload, fixed shard
 //! count, fixed tree-merge association), so these are regression pins, not
 //! flaky statistical tests.
+//!
+//! One shard reassociates nothing, so there the state must be
+//! bit-identical — which also pins that the worker pool feeds a float
+//! structure its updates in stream order instead of coalescing them.
 
 use lps_core::{AkoSampler, LpSampler, PrecisionLpSampler};
 use lps_engine::{EngineBuilder, RoundRobin, ShardIngest};
 use lps_hash::SeedSequence;
 use lps_heavy::{CountMinHeavyHitters, CountSketchHeavyHitters};
-use lps_sketch::{LinearSketch, PStableSketch};
+use lps_sketch::{LinearSketch, Mergeable, PStableSketch};
 use lps_stream::Update;
 
 const DIM: u64 = 1 << 12;
@@ -53,6 +57,34 @@ fn sharded<T: ShardIngest + 'static>(proto: &T, ups: &[Update]) -> T {
     let mut session = EngineBuilder::new(proto).plan(RoundRobin::approximate(4)).session();
     session.ingest_blocking(ups);
     session.seal().unwrap()
+}
+
+/// A one-shard session fed in ragged `ingest_blocking` pieces reaches the
+/// sequential state bit for bit. Summing the deltas of a coordinate before
+/// applying them changes a float structure's rounding (see
+/// `PStableSketch::process_batch`): an estimate printed to full precision
+/// does not show it, the state digest does.
+#[test]
+fn one_shard_float_sessions_match_sequential_bit_for_bit() {
+    fn ragged<T: ShardIngest + 'static>(proto: &T, ups: &[Update]) -> u64 {
+        let mut session = EngineBuilder::new(proto).plan(RoundRobin::approximate(1)).session();
+        for piece in ups.chunks(701) {
+            session.ingest_blocking(piece);
+        }
+        session.seal().unwrap().state_digest()
+    }
+    let ups = workload(20_000, 13);
+    let mut seeds = SeedSequence::new(14);
+
+    let proto = PStableSketch::with_default_rows(DIM, 1.0, &mut seeds);
+    let mut sequential = proto.clone();
+    LinearSketch::process_batch(&mut sequential, &ups);
+    assert_eq!(ragged(&proto, &ups), sequential.state_digest(), "p-stable");
+
+    let proto = PrecisionLpSampler::new(DIM, 1.0, 0.25, &mut seeds);
+    let mut sequential = proto.clone();
+    LpSampler::process_batch(&mut sequential, &ups);
+    assert_eq!(ragged(&proto, &ups), sequential.state_digest(), "precision sampler");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Behavior of the [`IngestSession`]: blocking backpressure that delivers
-//! every update exactly once and in per-shard stream order, a worker panic
-//! that releases a dispatcher parked on its channel, the approximate-tolerance
-//! gate for float structures, and the in-memory `snapshot` of a live session.
+//! every update exactly once and in per-shard stream order, one coalesced
+//! window that spans `ingest_blocking` calls, a worker panic that releases
+//! a caller parked on its channel, the approximate-tolerance gate for float
+//! structures, and the in-memory `snapshot` of a live session.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -15,7 +16,7 @@ use lps_stream::Update;
 /// A test structure whose ingestion can be *blocked from the outside*: while
 /// the shared gate is closed, any worker entering `ingest_batch` parks on the
 /// condvar. This lets the tests create real, deterministic backpressure —
-/// workers stalled, channels full, the dispatcher parked in its `send`.
+/// workers stalled, channels full, the caller parked in its `send`.
 /// Once the gate is open, a batch holding the [`BOMB`] delta panics the
 /// worker.
 #[derive(Clone)]
@@ -43,8 +44,8 @@ impl GatedSketch {
     }
 
     /// A thread that opens the gate once a worker has parked on it, after
-    /// giving the dispatcher time to fill that worker's channel and park
-    /// in its own `send`. Nothing reports that the dispatcher has parked,
+    /// giving the caller time to fill that worker's channel and park in
+    /// its own `send`. Nothing reports that the caller has parked,
     /// so the pause only makes that interleaving the likely one; what the
     /// tests assert holds under every interleaving.
     fn open_after_stall(&self) -> std::thread::JoinHandle<()> {
@@ -113,7 +114,9 @@ fn turnstile(n: usize, seed: u64) -> Vec<Update> {
 fn per_shard_order_is_preserved_across_backpressure() {
     for shards in [1, 2] {
         let proto = GatedSketch::new();
-        // 125 batches of 4: far more than the parked workers' channels hold
+        // 125 windows of 4: far more than the parked workers' channels
+        // hold. Each piece of 4 holds 4 distinct, ascending indices, so the
+        // coalesced window keeps every update, in stream order
         let mut session = EngineBuilder::new(&proto).shards(shards).batch_size(4).session();
         let ups = updates(500);
         let opener = proto.open_after_stall();
@@ -131,15 +134,15 @@ fn per_shard_order_is_preserved_across_backpressure() {
     }
 }
 
-/// A worker that panics while the dispatcher is parked on its full channel
+/// A worker that panics while the caller is parked on its full channel
 /// drops the channel's receiver, which fails the parked `send`: the shard
 /// is marked dead, the rest of its batches are dropped, `ingest_blocking`
 /// returns instead of hanging, and `seal` reports the typed error.
 #[test]
 fn worker_panic_releases_a_dispatcher_parked_on_its_full_channel() {
     let proto = GatedSketch::new();
-    // batch size 1: the worker parks on the bomb's batch, the next batches
-    // fill its channel, and the dispatcher parks on the one after
+    // batch size 1: the worker parks on the bomb's window, the next
+    // windows fill its channel, and the caller parks on the one after
     let mut session = EngineBuilder::new(&proto).shards(1).batch_size(1).session();
     let mut ups = vec![Update::new(0, BOMB)];
     ups.extend(updates(100));
@@ -340,6 +343,29 @@ fn session_survives_a_dead_worker_under_continued_load() {
         Err(EngineError::WorkerPanicked { shard: 0 }) => {}
         other => panic!("expected shard 0 reported dead, got {other:?}"),
     }
+}
+
+/// A session folds updates from many `ingest_blocking` calls, and many
+/// pieces, into one window: its replica sees each coordinate once, with the
+/// sum of its deltas, when the window seals. A window whose updates cancel
+/// to zero sends nothing.
+#[test]
+fn one_window_sums_updates_across_ingest_calls_and_a_cancelled_one_sends_nothing() {
+    let mut session = EngineBuilder::new(&BombSketch::new()).session();
+    // 2500 updates over three coordinates: two full pieces fold, the rest
+    // stays staged, and the window never reaches its 1024 coordinates
+    session.ingest_blocking(&(0..1500).map(|i| Update::new(i % 3, 2)).collect::<Vec<_>>());
+    session.ingest_blocking(&(0..1000).map(|i| Update::new(i % 3, -1)).collect::<Vec<_>>());
+    let sums = [1000 - 334, 1000 - 333, 1000 - 333];
+    assert_eq!(session.snapshot().unwrap().seen, sums, "one coalesced window");
+
+    // insertions, then the deletions that cancel them, in another call
+    let insert: Vec<Update> = (0..1200).map(|i| Update::new(10 + i % 2, 1)).collect();
+    session.ingest_blocking(&insert);
+    session.ingest_blocking(&insert.iter().map(|u| Update::new(u.index, -1)).collect::<Vec<_>>());
+    assert_eq!(session.snapshot().unwrap().seen, sums, "nothing sent");
+    assert_eq!(session.accepted(), 4900);
+    assert_eq!(session.seal().unwrap().seen, sums);
 }
 
 /// `checkpoint` refuses to persist a stream with a hole in it, with the

@@ -10,8 +10,10 @@
 //! pair hold bit-identical structures.
 //!
 //! [`ServeQuery`] is what a catalog structure adds on top of the engine's
-//! `ShardIngest` + `Persist`: an entry point for batches the service has
-//! already coalesced, and query answering. Samplers answer
+//! `ShardIngest` + `Persist`: query answering. (The coalesced windows the
+//! catalog's worker pool sends arrive through `ShardIngest::apply_coalesced`,
+//! which each catalog structure forwards to its inherent fast path.)
+//! Samplers answer
 //! [`Query::Sample`], counter sketches answer [`Query::PointEstimate`],
 //! sparse recovery answers [`Query::Duplicates`], and everything answers
 //! [`Query::Digest`] (the default implementation). Unsupported kinds come
@@ -54,13 +56,6 @@ pub trait ServeQuery: ShardIngest + Persist + Send + Sync + 'static {
     /// Catalog name, used in error details and logs.
     const NAME: &'static str;
 
-    /// Apply a batch already coalesced by `lps_stream::coalesce_updates`
-    /// (distinct indices, non-zero deltas): the structure's `process_batch`
-    /// after its own coalescing step, so each chunk of the catalog's one
-    /// coalesced window feeds every structure bit-identically to
-    /// `ingest_batch` of the updates the window sums.
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]);
-
     /// Answer `query` from this structure's current state.
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
@@ -87,10 +82,6 @@ fn unsupported(structure: &'static str, query: &Query) -> ServiceError {
 impl ServeQuery for SparseRecovery {
     const NAME: &'static str = "sparse_recovery";
 
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
-        SparseRecovery::apply_coalesced(self, entries);
-    }
-
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::Duplicates { .. } => match self.recover() {
@@ -111,10 +102,6 @@ impl ServeQuery for SparseRecovery {
 impl ServeQuery for L0Sampler {
     const NAME: &'static str = "l0_sampler";
 
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
-        L0Sampler::apply_coalesced(self, entries);
-    }
-
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::Sample { .. } => {
@@ -128,10 +115,6 @@ impl ServeQuery for L0Sampler {
 
 impl ServeQuery for FisL0Sampler {
     const NAME: &'static str = "fis_l0";
-
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
-        FisL0Sampler::apply_coalesced(self, entries);
-    }
 
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
@@ -147,10 +130,6 @@ impl ServeQuery for FisL0Sampler {
 impl ServeQuery for CountSketch {
     const NAME: &'static str = "count_sketch";
 
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
-        CountSketch::apply_coalesced(self, entries);
-    }
-
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::PointEstimate { index, .. } => {
@@ -164,10 +143,6 @@ impl ServeQuery for CountSketch {
 
 impl ServeQuery for CountMinSketch {
     const NAME: &'static str = "count_min";
-
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
-        CountMinSketch::apply_coalesced(self, entries);
-    }
 
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
@@ -183,10 +158,6 @@ impl ServeQuery for CountMinSketch {
 impl ServeQuery for CountMedianSketch {
     const NAME: &'static str = "count_median";
 
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
-        CountMedianSketch::apply_coalesced(self, entries);
-    }
-
     fn serve(&self, query: &Query) -> Result<Reply, ServiceError> {
         match query {
             Query::PointEstimate { index, .. } => {
@@ -200,10 +171,6 @@ impl ServeQuery for CountMedianSketch {
 
 impl ServeQuery for AmsSketch {
     const NAME: &'static str = "ams";
-
-    fn apply_coalesced(&mut self, entries: &[(u64, i64)]) {
-        AmsSketch::apply_coalesced(self, entries);
-    }
 }
 
 /// The identically-seeded structures a standard service hosts, plus the

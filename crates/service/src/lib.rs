@@ -10,10 +10,10 @@
 //!   `persist::DecodeError`: no input panics, every malformed byte stream
 //!   maps to a [`ProtoError`].
 //! * [`merge`] — the **merge service**: a catalog of exact-arithmetic
-//!   structures fed by one dispatcher (tenant-0 updates summed into one
-//!   coalesced window, so cancelling updates never reach a structure, and
-//!   each sealed window shared by `Arc` with a worker pool sized to the
-//!   host) plus a multi-tenant `SketchRegistry`, absorbing shard
+//!   structures fed by lps-engine's worker pool (tenant-0 updates summed
+//!   into one coalesced window, so cancelling updates never reach a
+//!   structure, and each sealed window shared by `Arc` with workers sized
+//!   to the host) plus a multi-tenant `SketchRegistry`, absorbing shard
 //!   [`Frame::CheckpointUpload`]s (validated against the service plan — a
 //!   mismatched envelope is a protocol [`Frame::Error`], not a
 //!   disconnect) and publishing periodic
